@@ -13,7 +13,6 @@ Examples::
     repro-sim sharing migratory-counters
     repro-sim chaos mp3d --intensities 0,0.5 --preset tiny
     repro-sim serve --port 8787 --workers 4
-    repro-sim top --url http://127.0.0.1:8787
     repro-sim cache stats
     repro-sim list
 
@@ -252,28 +251,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run_server(
             store, workers=workers, host=args.host, port=args.port,
-            cell_timeout=args.cell_timeout, job_timeout=args.job_timeout,
-            max_attempts=args.max_attempts, faults=faults,
+            cell_timeout=args.cell_timeout, max_attempts=args.max_attempts,
+            faults=faults,
         ))
     except KeyboardInterrupt:
         print("\nshutting down")
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard over a serve daemon's /metrics + /stats."""
-    import os
-
-    from repro.experiments.parallel import SERVE_URL_ENV
-    from repro.serve.top import run_top
-
-    url = args.url or os.environ.get(SERVE_URL_ENV) or "http://127.0.0.1:8787"
-    return run_top(
-        url,
-        interval=args.interval,
-        once=args.once,
-        iterations=args.iterations,
-    )
 
 
 def _parse_size(text: str) -> int:
@@ -884,10 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SEC",
                          help="per-cell deadline; a stuck cell is requeued "
                               "(its worker killed) instead of wedging a slot")
-    serve_p.add_argument("--job-timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="per-job deadline; on expiry the job's "
-                              "unstarted cells are cancelled")
     serve_p.add_argument("--max-attempts", type=int, default=3,
                          help="execution attempts per cell before a crash/"
                               "timeout becomes terminal (default 3)")
@@ -906,33 +885,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "via $REPRO_LOG)")
     serve_p.set_defaults(func=_cmd_serve)
 
-    top_p = sub.add_parser(
-        "top",
-        help="live terminal dashboard for a serve daemon "
-             "(polls /metrics + /stats)",
-    )
-    top_p.add_argument("--url", default=None, metavar="URL",
-                       help="daemon base URL (default $REPRO_SIM_SERVE or "
-                            "http://127.0.0.1:8787)")
-    top_p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                       help="refresh interval (default 2s)")
-    top_p.add_argument("--once", action="store_true",
-                       help="print a single frame and exit (no screen clear)")
-    top_p.add_argument("--iterations", type=int, default=None, metavar="N",
-                       help="render N frames then exit (scripting/CI)")
-    top_p.set_defaults(func=_cmd_top)
-
     cache_p = sub.add_parser(
         "cache", help="inspect, prune, or clear the persistent result cache"
     )
     cache_p.add_argument("action", choices=("stats", "prune", "clear"),
                          help="stats: print the store summary as JSON; "
                               "prune: LRU-evict down to --max-bytes; "
-                              "clear: delete every cached entry + artifact")
+                              "clear: delete every cached entry")
     cache_p.add_argument("--max-bytes", default=None, metavar="SIZE",
                          help="prune target size (e.g. 512, 100K, 64M, 2G): "
-                              "least-recently-fetched entries and their "
-                              "artifacts are evicted until the store fits")
+                              "least-recently-fetched entries are evicted "
+                              "until the store fits")
     cache_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result-cache root (default .repro-cache, or "
                               "$REPRO_SIM_CACHE)")

@@ -12,22 +12,21 @@ Design points:
 
 * **Processes, not threads.**  A run is CPU-bound Python; the pool uses
   a :class:`concurrent.futures.ProcessPoolExecutor` (``fork`` where
-  available, ``spawn`` otherwise).
+  available, the platform default otherwise).
 * **Deterministic ordering.**  Results are re-indexed by submission
   order, so ``run_many(specs, workers=8)`` is byte-identical to
   ``run_many(specs, workers=1)``.
 * **Per-run error capture.**  A failing run produces a structured
   :class:`RunError` inside its outcome instead of killing the pool; the
   other runs complete normally.
-* **Crash recovery.**  A worker process that dies (OOM kill, segfault,
-  ``os._exit``) breaks the executor; the in-flight cells are re-submitted
-  on a fresh pool a bounded number of times (``max_attempts``), and the
-  poisoned pool is discarded so it can never be handed to a later call.
-* **Per-cell wall-clock timeouts.**  ``run_many(..., timeout=...)`` caps
-  each cell's running time; a stuck cell yields a ``CellTimeout``
-  :class:`RunError` (and a pool rebuild reclaims its worker) instead of
-  hanging the whole sweep.  Timeouts need the pool: the serial inline
-  path cannot preempt a run and ignores ``timeout``.
+* **One cell executor.**  Pooled cells go through :class:`CellExecutor`,
+  the same executor the ``repro-sim serve`` daemon drives: at most
+  ``workers`` cells in flight, an optional per-cell wall-clock
+  ``timeout``, and one failure rule — a dead worker and a blown deadline
+  both rebuild the pool (killing live workers) and requeue the cell
+  after deterministic backoff, until ``max_attempts`` are spent and the
+  cell fails with a ``WorkerCrash`` or ``CellTimeout`` :class:`RunError`.
+  The serial inline path cannot preempt a run and ignores ``timeout``.
 * **Checkpointed sweeps.**  ``run_many(..., checkpoint=...)`` records
   per-cell progress in a
   :class:`~repro.experiments.checkpoint.SweepCheckpoint`; an interrupt
@@ -35,13 +34,11 @@ Design points:
   :class:`~repro.experiments.checkpoint.SweepInterrupted` carrying the
   partial results, so the sweep can be relaunched to recompute only cold
   cells (the :class:`ResultStore` holds the warm ones).
-* **Graceful serial fallback.**  ``workers=1``, a single spec, or a
-  platform without multiprocessing support all run inline in this
-  process (no pool, no pickling).
+* **Serial inline path.**  ``workers=1`` or a single spec runs inline
+  in this process (no pool, no pickling).
 * **Pool reuse.**  The process pool persists across :func:`run_many`
   calls (sweeps are many small phases; rebuilding a pool per phase costs
-  more than the fan-out saves on short batches), and batches are chunked
-  so workers amortize IPC over several runs.
+  more than the fan-out saves on short batches).
 * **Result-cache consultation.**  ``run_many(..., store=...)`` serves
   previously computed cells from a
   :class:`~repro.experiments.store.ResultStore` and populates it with
@@ -55,6 +52,7 @@ Design points:
 
 from __future__ import annotations
 
+import asyncio
 import atexit
 import concurrent.futures
 import multiprocessing
@@ -64,7 +62,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
@@ -82,41 +80,33 @@ _SET_TAG = "__frozen-set__"
 
 #: ``RunError.exc_type`` for a cell that exceeded its wall-clock deadline.
 CELL_TIMEOUT = "CellTimeout"
-#: ``RunError.exc_type`` for a cell lost to more worker crashes than
-#: ``max_attempts`` allows.
+#: ``RunError.exc_type`` for a cell whose worker died on its last attempt.
 WORKER_CRASH = "WorkerCrash"
 
 #: Environment override for the default ``backend="serve"`` daemon URL.
 SERVE_URL_ENV = "REPRO_SIM_SERVE"
 _DEFAULT_SERVE_URL = "http://127.0.0.1:8787"
 
-_RUNMANY_METRICS: Optional[Dict[str, Any]] = None
-
-
-def _runmany_metrics() -> Dict[str, Any]:
-    """Sweep-runner instruments on the global registry, built once."""
-    global _RUNMANY_METRICS
-    if _RUNMANY_METRICS is None:
-        _RUNMANY_METRICS = {
-            "sweeps": obs_metrics.counter(
-                "repro_runmany_sweeps_total", "run_many batches executed."),
-            "cell_seconds": obs_metrics.histogram(
-                "repro_runmany_cell_seconds",
-                "Wall-clock seconds of one freshly simulated sweep cell."),
-            "timeouts": obs_metrics.counter(
-                "repro_runmany_timeouts_total",
-                "Cells failed on the per-cell wall-clock deadline."),
-            "pool_crashes": obs_metrics.counter(
-                "repro_runmany_pool_crashes_total",
-                "Retry rounds triggered by a poisoned worker pool."),
-            "retries": obs_metrics.counter(
-                "repro_runmany_retries_total",
-                "Cells resubmitted to a fresh pool after a crash."),
-            "backoffs": obs_metrics.counter(
-                "repro_runmany_backoffs_total",
-                "Backoff sleeps taken between retry rounds."),
-        }
-    return _RUNMANY_METRICS
+#: Sweep-runner instruments on the global registry.
+_RUNMANY_METRICS: Dict[str, Any] = {
+    "sweeps": obs_metrics.counter(
+        "repro_runmany_sweeps_total", "run_many batches executed."),
+    "cell_seconds": obs_metrics.histogram(
+        "repro_runmany_cell_seconds",
+        "Wall-clock seconds of one freshly simulated sweep cell."),
+    "requeues": obs_metrics.counter(
+        "repro_runmany_retries_total",
+        "Cells requeued after a worker crash or a blown deadline."),
+    "timeouts": obs_metrics.counter(
+        "repro_runmany_timeouts_total",
+        "Attempts that blew the per-cell wall-clock deadline."),
+    "crashes": obs_metrics.counter(
+        "repro_runmany_worker_crashes_total",
+        "Attempts lost to a dead worker."),
+    "rebuilds": obs_metrics.counter(
+        "repro_runmany_pool_rebuilds_total",
+        "Process-pool rebuilds after a failure wave."),
+}
 
 
 def backoff_delay(
@@ -336,9 +326,9 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
 def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
     """Worker entry point that binds a correlation id around the run.
 
-    The serve daemon submits cells through this so a worker's structured
-    log lines (``REPRO_LOG`` is inherited across the process boundary)
-    carry the same ``cid`` the client minted for the job.
+    :class:`CellExecutor` submits cells through this so a worker's
+    structured log lines (``REPRO_LOG`` is inherited across the process
+    boundary) carry the ``cid`` of the job or sweep.
     """
     with correlation_scope(cid):
         log_event("worker", "run_started", cell=spec.label, pid=os.getpid())
@@ -354,29 +344,12 @@ def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
     return outcome
 
 
-def _execute_indexed(item: Tuple[int, RunSpec]) -> Tuple[int, RunOutcome]:
-    """Pool entry point: carry the submission index through the worker."""
-    index, spec = item
-    return index, execute_spec(spec)
-
-
-def _execute_chunk(
-    items: List[Tuple[int, RunSpec]],
-) -> List[Tuple[int, RunOutcome]]:
-    """Pool entry point: several runs per IPC round trip."""
-    return [(index, execute_spec(spec)) for index, spec in items]
-
-
 def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The preferred multiprocessing context, or None if unavailable."""
-    try:
-        methods = multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return None
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None  # pragma: no cover - no known start method
+    """``fork`` where available (workers inherit registered workloads),
+    else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
 
 
 def default_workers() -> int:
@@ -384,264 +357,192 @@ def default_workers() -> int:
     return max(1, multiprocessing.cpu_count() or 1)
 
 
-#: The shared worker pool, kept alive across run_many calls.  A sweep is
-#: many small phases (one per table row/figure bar); rebuilding a pool
-#: per phase used to cost more than short batches saved, which is how
-#: the committed bench recorded a 0.91x "speedup".  :func:`shutdown_pool`
-#: is registered atexit, and any executor failure (a crashed or hung
-#: worker) discards the pool so a broken executor is never reused.
-_POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
-_POOL_WORKERS: int = 0
+class CellExecutor:
+    """The one cell executor behind :func:`run_many` and ``repro-sim serve``.
+
+    It owns a process pool of ``workers`` processes and a generation
+    counter.  :meth:`run` drives one cell to a terminal outcome: it waits
+    for a free worker, applies the per-cell ``timeout``, and treats a
+    blown deadline exactly like a dead worker — the pool is rebuilt once
+    per failure wave (live workers killed, so a stuck cell gives its CPU
+    back) and the cell is requeued after :func:`backoff_delay` until
+    ``max_attempts`` are spent, when it fails with a ``CellTimeout`` or
+    ``WorkerCrash`` :class:`RunError`.  The deadline is wall-clock time
+    and host speed drifts, so a retry of a timed-out cell can succeed.
+
+    ``metrics`` maps ``requeues``/``timeouts``/``crashes``/``rebuilds``
+    to counters on the front-end's registry; ``component`` names the
+    front-end in structured log lines.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        *,
+        timeout: Optional[float] = None,
+        max_attempts: int = 3,
+        metrics: Dict[str, Any],
+        component: str,
+    ) -> None:
+        self.workers = max(1, workers)
+        self.timeout = timeout
+        self.max_attempts = max(1, max_attempts)
+        self.metrics = metrics
+        self.component = component
+        self.generation = 0
+        self.pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._slots_loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def _current_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The live pool, built on first use or after a break."""
+        if self.pool is not None and getattr(self.pool, "_broken", False):
+            self._rebuild(self.generation)  # a worker died between calls
+        if self.pool is None:
+            self.pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=_pool_context()
+            )
+        return self.pool
+
+    def live_workers(self) -> List[Any]:
+        """The pool's worker processes that are still alive."""
+        processes = (getattr(self.pool, "_processes", None) or {}).values()
+        return [process for process in processes if process.is_alive()]
+
+    def close(self) -> None:
+        """Discard the pool, killing its live (possibly stuck) workers."""
+        if self.pool is None:
+            return
+        pool, live = self.pool, self.live_workers()
+        self.pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in live:
+            process.kill()
+
+    def _rebuild(self, generation: int) -> None:
+        """Replace the pool once per failure wave.
+
+        Every cell of a wave saw the same ``generation``; the first one
+        through discards the pool (the next attempt builds a fresh one)
+        and the rest find the counter already moved on.
+        """
+        if generation != self.generation:
+            return
+        self.generation += 1
+        self.metrics["rebuilds"].inc()
+        log_event(self.component, "executor_rebuilt", level="warning",
+                  generation=self.generation)
+        self.close()
+
+    async def run(
+        self,
+        spec: RunSpec,
+        cid: str = "",
+        on_state: Optional[Callable[[str, int], bool]] = None,
+    ) -> Optional[RunOutcome]:
+        """Execute ``spec`` to a terminal outcome (None if abandoned).
+
+        ``on_state(state, attempt)`` is called with ``"running"`` as an
+        attempt takes a worker and ``"backoff"`` as a failed one is
+        requeued; returning False abandons the cell.
+        """
+        loop = asyncio.get_running_loop()
+        if self._slots_loop is not loop:
+            self._slots, self._slots_loop = asyncio.Semaphore(self.workers), loop
+        assert self._slots is not None
+        attempts = crashes = 0
+        while True:
+            async with self._slots:
+                if on_state is not None and not on_state("running", attempts + 1):
+                    return None
+                attempts += 1
+                generation = self.generation
+                try:
+                    future = loop.run_in_executor(
+                        self._current_pool(), execute_spec_with_cid, spec, cid
+                    )
+                    return await asyncio.wait_for(future, self.timeout)
+                except asyncio.TimeoutError:
+                    self.metrics["timeouts"].inc()
+                    kind = CELL_TIMEOUT
+                    detail = f"exceeded the {self.timeout}s per-cell deadline"
+                except Exception:  # BrokenProcessPool, pickling failure, ...
+                    self.metrics["crashes"].inc()
+                    crashes += 1
+                    kind = WORKER_CRASH
+                    detail = f"worker process died {crashes} time(s)"
+                self._rebuild(generation)
+            if attempts >= self.max_attempts:
+                return RunOutcome(spec=spec, error=RunError(
+                    exc_type=kind,
+                    message=f"{detail} (gave up after {attempts} attempt(s))",
+                    traceback="",
+                    workload=spec.workload,
+                    policy=spec.policy.name,
+                    seed=spec.seed,
+                    attempts=attempts,
+                ))
+            self.metrics["requeues"].inc()
+            log_event(self.component, "cell_requeued", level="warning",
+                      cell=spec.label, cid=cid or None, attempts=attempts,
+                      error=f"{kind}: {detail}")
+            if on_state is not None and not on_state("backoff", attempts):
+                return None
+            await asyncio.sleep(backoff_delay(attempts, key=spec.label))
+
+
+#: The executor behind :func:`run_many`, kept alive across calls with its
+#: pool.  A sweep is many small phases (one per table row/figure bar);
+#: forking a pool per phase used to cost more than short batches saved.
+#: :func:`shutdown_pool` is registered atexit.
+_LOCAL: Optional[CellExecutor] = None
 
 
 def shutdown_pool() -> None:
-    """Tear down the shared worker pool, killing any hung workers.
-
-    Used by tests, at interpreter exit, and whenever an executor failure
-    poisons the pool (the next :func:`_shared_pool` call builds a fresh
-    one).
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is None:
-        return
-    discard, _POOL, _POOL_WORKERS = _POOL, None, 0
-    processes = list((getattr(discard, "_processes", None) or {}).values())
-    try:
-        discard.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - shutdown of a broken pool
-        pass
-    for process in processes:
-        if process.is_alive():
-            process.kill()
-
-
-def _shared_pool(workers: int) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-    """A persistent pool of exactly ``workers`` processes, or None.
-
-    The pool is rebuilt when the requested width changes or the executor
-    is broken (a worker died); repeated healthy same-width calls (the
-    sweep-phase pattern) reuse it as-is.
-    """
-    global _POOL, _POOL_WORKERS
-    if (
-        _POOL is not None
-        and _POOL_WORKERS == workers
-        and not getattr(_POOL, "_broken", False)
-    ):
-        return _POOL
-    context = _pool_context()
-    if context is None:
-        return None
-    shutdown_pool()
-    _POOL = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    )
-    _POOL_WORKERS = workers
-    return _POOL
+    """Tear down the shared worker pool, killing any hung workers."""
+    if _LOCAL is not None:
+        _LOCAL.close()
 
 
 atexit.register(shutdown_pool)
 
 
-def _default_chunksize(pending: int, workers: int) -> int:
-    """Batch several runs per IPC round trip, keeping ~4 chunks/worker
-    so the pool still load-balances uneven run lengths."""
-    return max(1, pending // (workers * 4))
-
-
-def _failed_outcome(
-    spec: RunSpec, exc_type: str, message: str, attempts: int
-) -> RunOutcome:
-    return RunOutcome(
-        spec=spec,
-        error=RunError(
-            exc_type=exc_type,
-            message=message,
-            traceback="",
-            workload=spec.workload,
-            policy=spec.policy.name,
-            seed=spec.seed,
-            attempts=attempts,
-        ),
-    )
-
-
-def _drain_chunked(
-    pool: concurrent.futures.ProcessPoolExecutor,
-    pending: List[Tuple[int, RunSpec]],
-    chunksize: Optional[int],
-    workers: int,
-) -> Tuple[List[Tuple[int, RunOutcome]], List[Tuple[int, RunSpec]], bool]:
-    """Submit everything in chunks and collect what completes.
-
-    Returns ``(completed, survivors, broken)``: cells whose chunk failed
-    at the executor level (worker death, cancellation) come back as
-    survivors with ``broken=True`` so the caller can retry them on a
-    fresh pool.
-    """
-    size = chunksize or _default_chunksize(len(pending), workers)
-    futures: Dict[Any, List[Tuple[int, RunSpec]]] = {}
-    completed: List[Tuple[int, RunOutcome]] = []
-    survivors: List[Tuple[int, RunSpec]] = []
-    broken = False
-    for start in range(0, len(pending), size):
-        chunk = pending[start:start + size]
-        try:
-            futures[pool.submit(_execute_chunk, chunk)] = chunk
-        except Exception:  # pool already broken: refuse, retry elsewhere
-            survivors.extend(chunk)
-            broken = True
-    for future, chunk in futures.items():
-        try:
-            completed.extend(future.result())
-        except (Exception, concurrent.futures.CancelledError):
-            survivors.extend(chunk)
-            broken = True
-    return completed, survivors, broken
-
-
-def _drain_windowed(
-    pool: concurrent.futures.ProcessPoolExecutor,
-    pending: List[Tuple[int, RunSpec]],
-    timeout: float,
-    workers: int,
-) -> Tuple[
-    List[Tuple[int, RunOutcome]],
-    List[Tuple[int, RunSpec]],
-    List[Tuple[int, RunSpec]],
-    bool,
-]:
-    """Timeout-enforcing drain: at most ``workers`` cells in flight, each
-    with its own wall-clock deadline starting at submission.
-
-    Keeping the window no wider than the pool means a submitted cell has
-    a free worker, so submission time ≈ start time and the deadline is an
-    honest per-cell clock.  Returns ``(completed, survivors, timed_out,
-    broken)``; a timed-out cell poisons the pool (its worker is stuck),
-    so the round ends and the caller retries the survivors on a fresh
-    pool.  Timed-out cells are *not* retried — a deterministic simulation
-    that blew its deadline once will blow it again.
-    """
-    queue = list(pending)
-    inflight: Dict[Any, Tuple[int, RunSpec, float]] = {}
-    completed: List[Tuple[int, RunOutcome]] = []
-    survivors: List[Tuple[int, RunSpec]] = []
-    timed_out: List[Tuple[int, RunSpec]] = []
-    broken = False
-    while (queue or inflight) and not broken:
-        while queue and len(inflight) < workers:
-            index, spec = queue.pop(0)
-            try:
-                future = pool.submit(_execute_indexed, (index, spec))
-            except Exception:
-                survivors.append((index, spec))
-                broken = True
-                break
-            inflight[future] = (index, spec, time.monotonic() + timeout)
-        if broken or not inflight:
-            break
-        nearest = min(deadline for _, _, deadline in inflight.values())
-        done, _ = concurrent.futures.wait(
-            list(inflight),
-            timeout=max(0.0, nearest - time.monotonic()),
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        if done:
-            for future in done:
-                index, spec, _ = inflight.pop(future)
-                try:
-                    completed.append(future.result())
-                except (Exception, concurrent.futures.CancelledError):
-                    survivors.append((index, spec))
-                    broken = True
-            continue
-        # Nothing completed before the nearest deadline: every *running*
-        # overdue cell is stuck.  Pending-but-overdue cells merely queued
-        # behind a stuck worker; they survive to the retry round.
-        now = time.monotonic()
-        for future in list(inflight):
-            index, spec, deadline = inflight[future]
-            if deadline <= now and future.running():
-                inflight.pop(future)
-                timed_out.append((index, spec))
-                future.cancel()
-        broken = True
-    if broken:
-        survivors.extend((index, spec) for index, spec, _ in inflight.values())
-        survivors.extend(queue)
-    return completed, survivors, timed_out, broken
-
-
 def _run_pooled(
     pending: List[Tuple[int, RunSpec]],
     workers: int,
-    chunksize: Optional[int],
     timeout: Optional[float],
     max_attempts: int,
-    on_result,
+    cid: str,
+    on_result: Callable[[int, RunOutcome], None],
 ) -> None:
-    """Execute pending cells on the shared pool with crash recovery.
+    """Drive the pending cells through the shared executor.
 
-    Worker crashes (``BrokenProcessPool``) discard the poisoned pool and
-    re-submit the in-flight cells on a fresh one, up to ``max_attempts``
-    rounds with deterministic backoff; cells still unfinished then fail
-    with a ``WorkerCrash`` error carrying the attempt count.  Outcomes
-    are delivered through ``on_result(index, outcome)`` as each retry
-    round completes, so an interrupt loses at most the in-flight round
-    (everything delivered is already recorded/checkpointed).
+    Outcomes reach ``on_result(index, outcome)`` once the batch drains,
+    so store writes do not compete with busy workers for CPU; an
+    interrupt still delivers every cell that finished.
     """
-    metrics = _runmany_metrics()
-    remaining = list(pending)
-    attempt = 0
-    while remaining:
-        pool = _shared_pool(workers)
-        if pool is None:  # pragma: no cover - no multiprocessing support
-            for index, spec in remaining:
-                on_result(index, execute_spec(spec))
-            return
-        if timeout is None:
-            completed, survivors, broken = _drain_chunked(
-                pool, remaining, chunksize, workers
-            )
-            just_timed_out: List[Tuple[int, RunSpec]] = []
-        else:
-            completed, survivors, just_timed_out, broken = _drain_windowed(
-                pool, remaining, timeout, workers
-            )
-        for index, outcome in completed:
-            on_result(index, outcome)
-        for index, spec in just_timed_out:
-            metrics["timeouts"].inc()
-            log_event("run_many", "cell_timeout", level="warning",
-                      cell=spec.label, timeout_s=timeout)
-            on_result(index, _failed_outcome(
-                spec, CELL_TIMEOUT,
-                f"exceeded the {timeout}s per-cell wall-clock deadline",
-                attempts=attempt + 1,
-            ))
-        if not broken:
-            return
-        # The pool is poisoned (crashed worker or hung cell): discard it
-        # so neither this retry round nor a later run_many call can be
-        # handed a broken executor.
+    global _LOCAL
+    if _LOCAL is None or _LOCAL.workers != workers:
         shutdown_pool()
-        metrics["pool_crashes"].inc()
-        attempt += 1
-        if attempt >= max_attempts:
-            for index, spec in survivors:
-                on_result(index, _failed_outcome(
-                    spec, WORKER_CRASH,
-                    f"worker pool died {attempt} time(s) running this batch",
-                    attempts=attempt,
-                ))
-            return
-        if survivors:
-            metrics["retries"].inc(len(survivors))
-            metrics["backoffs"].inc()
-            log_event("run_many", "pool_retry", level="warning",
-                      attempt=attempt, cells=len(survivors))
-            time.sleep(backoff_delay(attempt, key=f"run_many:{len(pending)}"))
-        remaining = sorted(survivors, key=lambda item: item[0])
+        _LOCAL = CellExecutor(workers, metrics=_RUNMANY_METRICS,
+                              component="run_many")
+    executor = _LOCAL
+    executor.timeout, executor.max_attempts = timeout, max(1, max_attempts)
+    finished: Dict[int, RunOutcome] = {}
+
+    async def one(index: int, spec: RunSpec) -> None:
+        outcome = await executor.run(spec, cid)
+        assert outcome is not None
+        finished[index] = outcome
+
+    async def drive() -> None:
+        await asyncio.gather(*(one(index, spec) for index, spec in pending))
+
+    try:
+        asyncio.run(drive())
+    finally:
+        for index in sorted(finished):
+            on_result(index, finished[index])
 
 
 def _run_via_serve(
@@ -671,7 +572,6 @@ def _run_via_serve(
 def run_many(
     specs: Sequence[RunSpec],
     workers: int = 1,
-    chunksize: Optional[int] = None,
     store: Optional[Any] = None,
     *,
     timeout: Optional[float] = None,
@@ -682,10 +582,9 @@ def run_many(
 ) -> List[RunOutcome]:
     """Execute every spec and return outcomes in submission order.
 
-    ``workers=1`` (or a single spec, or a platform without process
-    support) runs serially in this process; otherwise a shared persistent
-    pool of ``workers`` processes executes the batch, ``chunksize`` specs
-    per task (default: ~4 chunks per worker).  Either way the returned
+    ``workers=1`` (or a single spec) runs serially in this process;
+    otherwise the shared :class:`CellExecutor` runs the batch on a
+    persistent pool of ``workers`` processes.  Either way the returned
     list lines up index-for-index with ``specs`` and parallel results are
     identical to serial ones (each run is a self-contained deterministic
     simulation).
@@ -698,11 +597,10 @@ def run_many(
     Resilience knobs:
 
     * ``timeout`` — per-cell wall-clock deadline in seconds (pooled
-      execution only); a stuck cell fails with a ``CellTimeout`` error
+      execution only); a stuck cell is requeued like a crashed one
       instead of hanging the sweep.
-    * ``max_attempts`` — how many pool rebuild/retry rounds a worker
-      crash may consume before the surviving cells fail with
-      ``WorkerCrash``.
+    * ``max_attempts`` — attempts per cell before a crash or timeout
+      becomes a terminal ``WorkerCrash``/``CellTimeout`` error.
     * ``checkpoint`` — a
       :class:`~repro.experiments.checkpoint.SweepCheckpoint` updated as
       cells finish; a KeyboardInterrupt saves it and raises
@@ -717,7 +615,7 @@ def run_many(
     specs = list(specs)
     if not specs:
         return []
-    metrics = _runmany_metrics()
+    metrics = _RUNMANY_METRICS
     metrics["sweeps"].inc()
     sweep_cid = new_correlation_id("sweep")
     if checkpoint is not None:
@@ -756,7 +654,7 @@ def run_many(
             if pending:
                 if workers > 1 and len(pending) > 1:
                     _run_pooled(
-                        pending, workers, chunksize, timeout, max_attempts,
+                        pending, workers, timeout, max_attempts, sweep_cid,
                         lambda index, outcome: record(
                             index, outcome, put=not outcome.cached
                         ),

@@ -20,7 +20,6 @@ On-disk layout (one directory, safe to delete at any time)::
 
     <root>/
       objects/<key[:2]>/<key>.json   one entry per cell (atomic writes)
-      artifacts/<key>/               trace/metrics/profile files for the cell
 
 Each entry stores the rebuilt-result payload *and* its
 ``result_fingerprint`` — the same equality witness the bench
@@ -302,12 +301,12 @@ def _store_metrics(registry: Optional[obs_metrics.MetricsRegistry]) -> Dict[str,
             "repro_store_evicted_bytes_total", "Bytes reclaimed by LRU prune."),
         "stored_bytes": reg.counter(
             "repro_store_stored_bytes_total",
-            "Bytes written into the store (entries + artifacts)."),
+            "Bytes of result entries written into the store."),
     }
 
 
 class ResultStore:
-    """A persistent content-addressed store of run results + artifacts."""
+    """A persistent content-addressed store of run results."""
 
     def __init__(
         self,
@@ -316,7 +315,6 @@ class ResultStore:
     ) -> None:
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.artifacts = self.root / "artifacts"
         self.stats = CacheStats()
         self._metrics = _store_metrics(metrics_registry)
 
@@ -324,41 +322,6 @@ class ResultStore:
 
     def entry_path(self, key: str) -> Path:
         return self.objects / key[:2] / f"{key}.json"
-
-    def artifact_dir(self, key: str, create: bool = True) -> Path:
-        """Where a cell's trace/metrics/profile artifacts live."""
-        path = self.artifacts / key
-        if create:
-            path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def put_artifact(
-        self, key: str, name: str, content: Union[str, bytes]
-    ) -> Path:
-        """Store one named artifact next to the cell's result."""
-        if "/" in name or name.startswith("."):
-            raise ValueError(f"artifact name must be a plain filename: {name!r}")
-        target = self.artifact_dir(key) / name
-        data = content.encode() if isinstance(content, str) else content
-        self._atomic_write(target, data)
-        self._metrics["stored_bytes"].inc(len(data))
-        return target
-
-    def get_artifact(self, key: str, name: str) -> Optional[bytes]:
-        """The raw bytes of one stored artifact, or None if absent."""
-        if "/" in name or name.startswith("."):
-            raise ValueError(f"artifact name must be a plain filename: {name!r}")
-        path = self.artifact_dir(key, create=False) / name
-        try:
-            return path.read_bytes()
-        except OSError:
-            return None
-
-    def list_artifacts(self, key: str) -> List[str]:
-        path = self.artifact_dir(key, create=False)
-        if not path.is_dir():
-            return []
-        return sorted(p.name for p in path.iterdir() if p.is_file())
 
     # -- lookups -------------------------------------------------------
 
@@ -462,13 +425,12 @@ class ResultStore:
         )
 
     def clear(self) -> int:
-        """Delete every entry and artifact; returns the entry count."""
+        """Delete every entry; returns the entry count."""
         count = len(self)
         import shutil
 
-        for child in (self.objects, self.artifacts):
-            if child.is_dir():
-                shutil.rmtree(child)
+        if self.objects.is_dir():
+            shutil.rmtree(self.objects)
         return count
 
     def prune(self, max_bytes: int) -> Dict[str, Any]:
@@ -476,13 +438,8 @@ class ResultStore:
 
         Entries are ranked by their entry file's mtime — refreshed on
         every verified fetch — so the least-recently-*fetched* cells go
-        first.  An evicted cell takes its artifact directory with it
-        (artifacts are meaningless without the result they annotate) and
-        its artifact bytes count toward the cell's footprint.  Returns a
-        JSON-ready report for ``repro-sim cache prune``.
+        first.  Returns a JSON-ready report for ``repro-sim cache prune``.
         """
-        import shutil
-
         entries = []
         for key in self.keys():
             path = self.entry_path(key)
@@ -490,8 +447,7 @@ class ResultStore:
                 stat = path.stat()
             except OSError:
                 continue
-            size = stat.st_size + self._artifact_bytes(key)
-            entries.append((stat.st_mtime, key, path, size))
+            entries.append((stat.st_mtime, key, path, stat.st_size))
         entries.sort(key=lambda item: (item[0], item[1]))
         total = sum(size for _, _, _, size in entries)
         evicted_keys: List[str] = []
@@ -499,9 +455,6 @@ class ResultStore:
             if total <= max_bytes:
                 break
             path.unlink(missing_ok=True)
-            artifact_dir = self.artifacts / key
-            if artifact_dir.is_dir():
-                shutil.rmtree(artifact_dir, ignore_errors=True)
             total -= size
             evicted_keys.append(key)
             self.stats.evictions += 1
@@ -515,12 +468,6 @@ class ResultStore:
             "remaining_entries": len(self),
             "remaining_bytes": total,
         }
-
-    def _artifact_bytes(self, key: str) -> int:
-        path = self.artifacts / key
-        if not path.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
     def summary(self) -> Dict[str, Any]:
         """One JSON document for ``repro-sim cache stats`` and CI artifacts."""

@@ -13,9 +13,10 @@
 * :mod:`repro.obs.log` — structured JSON event logging with correlation
   ids threading client -> server -> worker.
 
-Everything here is opt-in: a machine built without ``trace=True`` and
-without a metrics interval runs byte-identically to one predating this
-package, and fleet telemetry mutates nothing when disabled.
+The simulation-side instruments are opt-in: a machine built without
+``trace=True`` and without a metrics interval runs byte-identically to
+one predating this package.  Fleet metrics and logs never touch a
+simulation.
 """
 
 from repro.obs.span import OPS, SEGMENTS, Span

@@ -12,18 +12,15 @@ deliberately tiny and dependency-free:
   (``# HELP`` / ``# TYPE`` headers, ``name{label="v"} value`` samples,
   cumulative histogram buckets), served by ``GET /metrics``,
 * a matching :func:`parse_exposition` parser used by the test suite for
-  round-trip checks and by ``repro-sim top`` to read scrapes.
+  round-trip checks and by the CI telemetry gate to read scrapes.
 
-Telemetry is opt-out via ``REPRO_TELEMETRY=0`` (or ``set_enabled(False)``);
-when disabled every mutation is an early-return no-op and no label children
-are allocated.  Nothing in here ever touches the simulation core, so results
-remain byte-identical regardless of the telemetry switch.
+Nothing in here ever touches the simulation core, so results are
+byte-identical whatever the instruments record.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,11 +40,7 @@ __all__ = [
     "exposition",
     "parse_exposition",
     "sample_count",
-    "set_enabled",
-    "telemetry_enabled",
 ]
-
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -79,24 +72,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: cannot grow memory without bound.
 MAX_LABEL_SETS = 512
 OVERFLOW_LABEL_VALUE = "_overflow"
-
-_enabled = os.environ.get(TELEMETRY_ENV, "1").strip().lower() not in (
-    "0",
-    "off",
-    "false",
-    "no",
-)
-
-
-def set_enabled(value: bool) -> None:
-    """Globally enable/disable metric mutation (scraping still works)."""
-    global _enabled
-    _enabled = bool(value)
-
-
-def telemetry_enabled() -> bool:
-    return _enabled
-
 
 def _format_value(value: float) -> str:
     if value == math.inf:
@@ -222,8 +197,6 @@ class Counter(_Metric):
         return Counter(self.name, self.help)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         if amount < 0:
             raise ValueError("counters can only increase")
         if self.labelnames:
@@ -257,14 +230,10 @@ class Gauge(_Metric):
             raise ValueError("%s has labels; call .labels(...) first" % self.name)
 
     def set(self, value: float) -> None:
-        if not _enabled:
-            return
         self._check_unlabeled()
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         self._check_unlabeled()
         with self._lock:
             self._value += amount
@@ -317,8 +286,6 @@ class Histogram(_Metric):
         return Histogram(self.name, self.help, buckets=self.buckets)
 
     def observe(self, value: float) -> None:
-        if not _enabled:
-            return
         if self.labelnames:
             raise ValueError("%s has labels; call .labels(...).observe()" % self.name)
         value = float(value)
@@ -476,7 +443,7 @@ def exposition() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exposition parser — used by tests (round-trip) and `repro-sim top`.
+# Exposition parser — used by tests (round-trip) and the CI telemetry gate.
 # ---------------------------------------------------------------------------
 
 MetricSample = Tuple[str, Dict[str, str], float]

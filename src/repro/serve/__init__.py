@@ -5,15 +5,16 @@ A small asyncio job-queue daemon in front of the content-addressed
 sweep cells over HTTP, identical cells are deduplicated across
 concurrent clients, warm cells answer straight from the store, cold
 cells are scheduled onto a fixed process pool, and progress streams back
-as newline-delimited JSON.  Results and their trace/metrics/profile
-artifacts persist in the store for every later sweep.
+as newline-delimited JSON.  Results persist in the store for every
+later sweep.
 
-The service is fault-tolerant: crashed or stuck workers are detected,
-the pool is rebuilt, and the affected cells are requeued with bounded
-attempts and deterministic backoff; clients retry, reconnect, and resume
-progress streams from the last-seen event.  A seeded
-:class:`~repro.serve.faults.ServeFaultPlan` (worker kills, delayed
-completions, dropped stream frames) makes every recovery path
+The service is fault-tolerant: cells run through the same
+:class:`~repro.experiments.parallel.CellExecutor` as ``run_many``, so
+crashed or stuck workers are detected, the pool is rebuilt, and the
+affected cells are requeued with bounded attempts and deterministic
+backoff; clients retry, reconnect, and resume progress streams from the
+last-seen event.  A seeded :class:`~repro.serve.faults.ServeFaultPlan`
+(worker kills, dropped stream frames) makes every recovery path
 chaos-testable.
 """
 

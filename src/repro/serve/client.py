@@ -35,7 +35,6 @@ import json
 import socket
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -122,15 +121,11 @@ class ServeClient:
         timeout: float = 30.0,
         *,
         retries: int = 4,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         cid: str = "",
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Correlation id stamped on submitted jobs (minted per submit
         #: when empty), so client/server/worker logs line up.
         self.cid = cid
@@ -146,20 +141,11 @@ class ServeClient:
         except _CONNECTION_ERRORS as exc:
             if attempt <= self.retries:
                 _client_metrics()["retries"].inc()
-                time.sleep(backoff_delay(
-                    attempt,
-                    base=self.backoff_base,
-                    cap=self.backoff_cap,
-                    key=f"{self.base_url}:{label}",
-                ))
+                time.sleep(backoff_delay(attempt, key=f"{self.base_url}:{label}"))
             raise exc
 
     def _request_raw(
-        self,
-        method: str,
-        path: str,
-        data: Optional[bytes] = None,
-        content_type: str = "application/json",
+        self, method: str, path: str, data: Optional[bytes] = None
     ) -> bytes:
         """Send one request with retries; returns the raw response body."""
         last: Optional[BaseException] = None
@@ -168,7 +154,7 @@ class ServeClient:
                 self.base_url + path,
                 data=data,
                 method=method,
-                headers={"Content-Type": content_type} if data is not None else {},
+                headers={"Content-Type": "application/json"} if data is not None else {},
             )
             try:
                 with self._open(request, attempt, f"{method} {path}") as response:
@@ -224,26 +210,6 @@ class ServeClient:
     def result(self, key: str) -> Dict[str, Any]:
         """The stored entry (spec, fingerprint, result payload) for a key."""
         return self._request("GET", f"/results/{key}")
-
-    def artifacts(self, key: str) -> List[str]:
-        return self._request("GET", f"/results/{key}/artifacts")["artifacts"]
-
-    def put_artifact(
-        self, key: str, name: str, content: "bytes | str"
-    ) -> Dict[str, Any]:
-        """Upload one artifact next to the result for ``key``."""
-        data = content.encode() if isinstance(content, str) else content
-        quoted = urllib.parse.quote(name, safe="")
-        body = self._request_raw(
-            "POST", f"/artifacts/{key}/{quoted}", data,
-            content_type="application/octet-stream",
-        )
-        return json.loads(body.decode())
-
-    def get_artifact(self, key: str, name: str) -> bytes:
-        """Download one stored artifact's raw bytes."""
-        quoted = urllib.parse.quote(name, safe="")
-        return self._request_raw("GET", f"/artifacts/{key}/{quoted}")
 
     def wait(
         self,
@@ -308,39 +274,32 @@ class ServeClient:
                 raise ServeError(exc.code, _error_body(exc)) from None
             except (_CONNECTION_ERRORS + (ValueError,)) as exc:
                 # ValueError: a frame truncated by a dropped connection.
-                if not resume or failures >= self.retries:
-                    raise ServeUnavailable(
-                        f"stream for job {job_id} dropped after event {last}: {exc}"
-                    ) from exc
-                failures += 1
-                _client_metrics()["resumptions"].inc()
-                log_event("client", "stream_resumed", level="warning",
-                          job=job_id, after=last)
-                time.sleep(backoff_delay(
-                    failures,
-                    base=self.backoff_base,
-                    cap=self.backoff_cap,
-                    key=f"{self.base_url}:stream {job_id}",
-                ))
+                failures = self._resume(
+                    job_id, last, failures, resume, f"dropped after event {last}: {exc}"
+                )
                 continue
             if finished:
                 return
             # Clean EOF without job-done: the server hung up early.
-            if not resume or failures >= self.retries:
-                raise ServeUnavailable(
-                    f"stream for job {job_id} ended after event {last} "
-                    f"without job-done"
-                )
-            failures += 1
-            _client_metrics()["resumptions"].inc()
-            log_event("client", "stream_resumed", level="warning",
-                      job=job_id, after=last)
-            time.sleep(backoff_delay(
-                failures,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                key=f"{self.base_url}:stream {job_id}",
-            ))
+            failures = self._resume(
+                job_id, last, failures, resume,
+                f"ended after event {last} without job-done",
+            )
+
+    def _resume(
+        self, job_id: str, last: int, failures: int, resume: bool, why: str
+    ) -> int:
+        """Back off before reconnecting a dropped stream, or give up."""
+        if not resume or failures >= self.retries:
+            raise ServeUnavailable(f"stream for job {job_id} {why}")
+        failures += 1
+        _client_metrics()["resumptions"].inc()
+        log_event("client", "stream_resumed", level="warning",
+                  job=job_id, after=last)
+        time.sleep(backoff_delay(
+            failures, key=f"{self.base_url}:stream {job_id}"
+        ))
+        return failures
 
     # -- sweep backend -------------------------------------------------
 

@@ -2,12 +2,10 @@
 
 ``repro.faults`` chaos-tests the *protocol*; :class:`ServeFaultPlan`
 chaos-tests the *service* the same way — seeded, deterministic, and
-byte-identical when off.  The server consults the plan at three points:
+byte-identical when off.  The server consults the plan at two points:
 
 * **Worker kills** — just after dispatching a cell's first attempt, kill
   one live pool process (SIGKILL), exercising executor rebuild + requeue.
-* **Delayed completions** — sleep before publishing a finished cell,
-  exercising deadline/watchdog paths without wasting simulation work.
 * **Dropped stream frames** — abort a ``/jobs/<id>/stream`` connection
   mid-frame, exercising client-side NDJSON resumption via ``?after=``.
 
@@ -34,9 +32,6 @@ class ServeFaultPlan:
     max_kills: int = 2
     #: Seconds between dispatching the doomed attempt and the kill.
     kill_delay: float = 0.02
-    #: Probability a finishing cell's publication is delayed.
-    delay_fraction: float = 0.0
-    max_completion_delay: float = 0.05
     #: Probability a stream frame's connection is dropped before the write.
     drop_frame_fraction: float = 0.0
     max_drops: int = 4
@@ -61,13 +56,6 @@ class ServeFaultPlan:
         self.kills += 1
         return True
 
-    def completion_delay(self, key: str) -> float:
-        """Seconds to delay publishing ``key``'s finished outcome."""
-        draw = self._draw("delay", key)
-        if draw.random() >= self.delay_fraction:
-            return 0.0
-        return draw.uniform(0.0, self.max_completion_delay)
-
     def should_drop_frame(self, job_id: str, seq: int) -> bool:
         """Whether to abort the stream before sending this frame.
 
@@ -88,8 +76,6 @@ class ServeFaultPlan:
             "kill_fraction": self.kill_fraction,
             "max_kills": self.max_kills,
             "kill_delay": self.kill_delay,
-            "delay_fraction": self.delay_fraction,
-            "max_completion_delay": self.max_completion_delay,
             "drop_frame_fraction": self.drop_frame_fraction,
             "max_drops": self.max_drops,
             "kills": self.kills,

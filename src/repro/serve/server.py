@@ -17,7 +17,7 @@ API
                                resolve instantly, duplicates (within the
                                batch or against other clients' in-flight
                                cells) attach to the existing cell.
-``GET    /jobs``               one summary row per live job (for dashboards)
+``GET    /jobs``               one summary row per live job
 ``GET    /jobs/<id>``          job status: per-cell state + counts
 ``DELETE /jobs/<id>``          cancel: queued/backoff cells not shared
                                with another live job are abandoned;
@@ -30,41 +30,36 @@ API
                                client that lost its connection resumes
                                without missing or repeating events
 ``GET    /results/<key>``      the stored entry (spec, fingerprint, result)
-``GET    /results/<key>/artifacts``  artifact listing for the cell
-``POST   /artifacts/<key>/<name>``   upload one artifact (raw request body)
-``GET    /artifacts/<key>/<name>``   download one artifact's raw bytes
 ``GET    /stats``              cache stats + scheduler/resilience counters
 ``GET    /metrics``            Prometheus text exposition (version 0.0.4)
 
 Every request is counted per route in ``repro_http_requests_total`` and
 timed into ``repro_http_request_seconds``; job/cell lifecycle, requeues,
 timeouts, crashes and fault kills feed the ``repro_serve_*`` series (see
-:mod:`repro.obs.metrics`).  ``POST /jobs`` accepts an optional ``"cid"``
-correlation id which is stored per job/cell and bound around worker
-execution, so structured logs thread client -> server -> worker.
+:mod:`repro.obs.metrics`).  ``/stats`` reads its counters from the same
+registry, so the two views cannot disagree.  Each server owns a fresh
+:class:`~repro.obs.metrics.MetricsRegistry` unless one is passed in
+(``repro-sim serve`` passes the process-global one, so its ``/metrics``
+also carries the result-store series).  ``POST /jobs`` accepts an
+optional ``"cid"`` correlation id which is stored per job/cell and bound
+around worker execution, so structured logs thread client -> server ->
+worker.
 
 Scheduling & resilience
 -----------------------
 
-Cold cells run on a pool of ``workers`` processes
-(:class:`concurrent.futures.ProcessPoolExecutor`); an
-:class:`asyncio.Semaphore` of the same width keeps the queue honest so a
-cell is only marked ``running`` when it actually occupies a worker.
-Every unique cell executes at most once no matter how many jobs
-reference it — the dedupe map is keyed by the same content address the
-store uses.
-
-A cell whose worker dies (``BrokenProcessPool``) or whose attempt blows
-the ``cell_timeout`` deadline is *requeued* — the poisoned executor is
-torn down (stuck workers killed) and rebuilt exactly once per failure
-wave (a generation counter under a lock), and the cell retries after
-capped exponential backoff with deterministic jitter, up to
-``max_attempts`` before failing terminally with the attempt count in its
-:class:`~repro.experiments.parallel.RunError`.  ``job_timeout`` bounds a
-whole job: on expiry its still-unstarted cells are cancelled.  A
-:class:`~repro.serve.faults.ServeFaultPlan` makes all of these paths
-chaos-testable with seeded worker kills, delayed completions, and
-dropped stream frames.
+Cold cells run through a :class:`~repro.experiments.parallel.CellExecutor`
+— the executor ``run_many`` uses — with ``workers`` processes: a cell is
+only marked ``running`` when it actually occupies a worker, and a dead
+worker or a blown ``cell_timeout`` rebuilds the pool once per failure
+wave and requeues the cell after deterministic backoff, up to
+``max_attempts`` before it fails terminally with the attempt count in its
+:class:`~repro.experiments.parallel.RunError`.  The server adds only cell
+status, dedupe, cancellation and fault-kill bookkeeping.  Every unique
+cell executes at most once no matter how many jobs reference it — the
+dedupe map is keyed by the same content address the store uses.  A
+:class:`~repro.serve.faults.ServeFaultPlan` makes the recovery paths
+chaos-testable with seeded worker kills and dropped stream frames.
 """
 
 from __future__ import annotations
@@ -72,19 +67,10 @@ from __future__ import annotations
 import asyncio
 import json
 import urllib.parse
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.experiments.parallel import (
-    RunError,
-    RunOutcome,
-    RunSpec,
-    _pool_context,
-    backoff_delay,
-    execute_spec,
-    execute_spec_with_cid,
-)
+from repro.experiments.parallel import CellExecutor, RunOutcome, RunSpec
 from repro.experiments.store import ResultStore, spec_from_json, spec_key
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import log_event
@@ -113,12 +99,8 @@ class Cell:
     refs: int = 0
     #: Execution attempts consumed (crash/timeout requeues increment it).
     attempts: int = 0
-    #: Loop time the current attempt started (diagnostics).
-    started: float = 0.0
-    #: Last non-terminal failure or the cancellation reason.
+    #: The cancellation reason.
     last_error: str = ""
-    #: (exc_type, message) of the attempt that just failed, pre-requeue.
-    failure: Tuple[str, str] = ("", "")
     #: Correlation id of the job that first created this cell.
     cid: str = ""
 
@@ -155,7 +137,7 @@ class Job:
 
 
 class ExperimentServer:
-    """The asyncio job-queue daemon (one instance per process)."""
+    """The asyncio job-queue daemon."""
 
     def __init__(
         self,
@@ -165,10 +147,7 @@ class ExperimentServer:
         port: int = 8787,
         *,
         cell_timeout: Optional[float] = None,
-        job_timeout: Optional[float] = None,
         max_attempts: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         faults: Optional[ServeFaultPlan] = None,
         registry: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
@@ -176,38 +155,37 @@ class ExperimentServer:
         self.workers = max(1, workers)
         self.host = host
         self.port = port
-        self.cell_timeout = cell_timeout
-        self.job_timeout = job_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.faults = faults
         self.cells: Dict[str, Cell] = {}
         self.jobs: Dict[str, Job] = {}
-        self.submitted = 0
-        self.deduped = 0
-        self.requeues = 0
-        self.timeouts = 0
-        self.worker_crashes = 0
-        self.executor_rebuilds = 0
-        self.cancelled_jobs = 0
-        self.fault_kills = 0
         self._job_counter = 0
-        self._generation = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._rebuild_lock: Optional[asyncio.Lock] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task[Any]"] = set()
-        self.registry = registry if registry is not None else obs_metrics.REGISTRY
+        self.registry = registry if registry is not None else obs_metrics.MetricsRegistry()
         self._init_metrics()
+        self.executor = CellExecutor(
+            self.workers,
+            timeout=cell_timeout,
+            max_attempts=max_attempts,
+            metrics={
+                "requeues": self._m_requeues,
+                "timeouts": self._m_timeouts,
+                "crashes": self._m_worker_crashes,
+                "rebuilds": self._m_executor_rebuilds,
+            },
+            component="serve",
+        )
+
+    @property
+    def requeues(self) -> int:
+        """Cells requeued after a crash or timeout (from the registry)."""
+        return int(self._m_requeues.value)
 
     def _init_metrics(self) -> None:
         """Declare the daemon's instrument set on ``self.registry``.
 
         Get-or-create semantics make this idempotent; gauges use scrape-time
-        callbacks bound to this instance (the latest-constructed server on a
-        shared registry wins, which is the one-daemon-per-process reality).
+        callbacks bound to this instance.
         """
         reg = self.registry
         self._m_http_requests = reg.counter(
@@ -232,8 +210,7 @@ class ExperimentServer:
         self._m_jobs_finished = reg.counter(
             "repro_serve_jobs_finished_total", "Jobs whose event log reached job-done.")
         self._m_jobs_cancelled = reg.counter(
-            "repro_serve_jobs_cancelled_total",
-            "Jobs cancelled by DELETE or the job deadline.")
+            "repro_serve_jobs_cancelled_total", "Jobs cancelled by DELETE.")
         self._m_specs_submitted = reg.counter(
             "repro_serve_specs_submitted_total", "Specs received across all jobs.")
         self._m_specs_deduped = reg.counter(
@@ -248,7 +225,7 @@ class ExperimentServer:
             "repro_serve_cell_attempts_total", "Execution attempts started on workers.")
         self._m_cell_seconds = reg.histogram(
             "repro_serve_cell_seconds",
-            "Wall-clock seconds of one cell execution attempt.",
+            "Wall-clock seconds of one freshly simulated cell.",
         )
         self._m_requeues = reg.counter(
             "repro_serve_requeues_total", "Cells requeued after a crash or timeout.")
@@ -289,21 +266,16 @@ class ExperimentServer:
         reg.gauge(
             "repro_serve_executor_generation",
             "Process-pool generation (increments on every rebuild).",
-        ).set_function(lambda: self._generation)
+        ).set_function(lambda: self.executor.generation)
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and the worker pool.
+        """Bind the listening socket (the worker pool starts on first use).
 
         ``port=0`` picks an ephemeral port; ``self.port`` is updated to
         the bound one either way.
         """
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_pool_context()
-        )
-        self._slots = asyncio.Semaphore(self.workers)
-        self._rebuild_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -315,12 +287,7 @@ class ExperimentServer:
             await self._server.wait_closed()
         for task in list(self._tasks):
             task.cancel()
-        if self._executor is not None:
-            processes = list((getattr(self._executor, "_processes", None) or {}).values())
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
-                if process.is_alive():
-                    process.kill()
+        self.executor.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -346,7 +313,6 @@ class ExperimentServer:
                 spec = spec_from_json(doc)
             except (KeyError, TypeError, ValueError) as exc:
                 raise BadRequest(f"bad spec {doc!r}: {exc}") from None
-            self.submitted += 1
             self._m_specs_submitted.inc()
             key = spec_key(spec)
             cell = self.cells.get(key)
@@ -374,7 +340,6 @@ class ExperimentServer:
             else:
                 # The dedupe path: an identical cell is already cached,
                 # queued, or running on behalf of another submission.
-                self.deduped += 1
                 self._m_specs_deduped.inc()
             cell.refs += 1
             job.keys.append(key)
@@ -385,80 +350,31 @@ class ExperimentServer:
         return job
 
     async def _run_cell(self, cell: Cell) -> None:
-        """Drive one cell to a terminal state, requeueing on faults."""
-        assert self._slots is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            if cell.status == "cancelled":
-                return
-            async with self._slots:
-                if cell.status == "cancelled":
-                    return
-                cell.attempts += 1
-                cell.status = "running"
-                cell.started = loop.time()
-                requeue = await self._attempt(cell, loop)
-            if not requeue:
-                return
-            cell.status = "backoff"
-            self.requeues += 1
-            self._m_requeues.inc()
-            log_event("serve", "cell_requeued", level="warning", cell=cell.key,
-                      cid=cell.cid or None, attempts=cell.attempts,
-                      error=cell.last_error)
-            await asyncio.sleep(backoff_delay(
-                cell.attempts,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                key=cell.key,
-            ))
+        """Drive one cell to a terminal state through the executor.
 
-    async def _attempt(self, cell: Cell, loop) -> bool:
-        """One execution attempt; returns True when the cell must requeue."""
-        generation = self._generation
-        kill_task = None
-        self._m_cell_attempts.inc()
-        if self.faults is not None and self.faults.should_kill(
-            cell.key, cell.attempts
-        ):
-            self.fault_kills += 1
-            self._m_fault_kills.inc()
-            kill_task = loop.create_task(self._fault_kill(generation))
-        try:
-            future = loop.run_in_executor(
-                self._executor, execute_spec_with_cid, cell.spec, cell.cid
-            )
-            if self.cell_timeout is not None:
-                outcome = await asyncio.wait_for(future, self.cell_timeout)
-            else:
-                outcome = await future
-        except asyncio.TimeoutError:
-            self.timeouts += 1
-            self._m_timeouts.inc()
-            self._m_cell_seconds.observe(loop.time() - cell.started)
-            cell.failure = (
-                "CellTimeout",
-                f"exceeded the {self.cell_timeout}s per-cell deadline",
-            )
-            await self._rebuild_executor(generation)
-            return self._requeue_or_fail(cell)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # BrokenProcessPool, pickling failure, ...
-            self.worker_crashes += 1
-            self._m_worker_crashes.inc()
-            self._m_cell_seconds.observe(loop.time() - cell.started)
-            cell.failure = (type(exc).__name__, str(exc) or "worker process died")
-            await self._rebuild_executor(generation)
-            return self._requeue_or_fail(cell)
-        finally:
-            if kill_task is not None:
-                kill_task.cancel()
-        self._m_cell_seconds.observe(loop.time() - cell.started)
-        if self.faults is not None:
-            delay = self.faults.completion_delay(cell.key)
-            if delay:
-                await asyncio.sleep(delay)
+        ``done`` identifies this run of the cell: a cancelled-then-revived
+        cell gets a fresh event, so a stale run abandons itself.
+        """
+        done = cell.done
+
+        def on_state(state: str, attempt: int) -> bool:
+            if cell.status == "cancelled" or cell.done is not done:
+                return False
+            cell.status, cell.attempts = state, attempt
+            if state == "running":
+                self._m_cell_attempts.inc()
+                if self.faults is not None and self.faults.should_kill(
+                    cell.key, attempt
+                ):
+                    self._m_fault_kills.inc()
+                    self._spawn(self._fault_kill(cell, attempt))
+            return True
+
+        outcome = await self.executor.run(cell.spec, cell.cid, on_state)
+        if outcome is None:
+            return
+        if outcome.wall_time:
+            self._m_cell_seconds.observe(outcome.wall_time)
         cell.outcome = outcome
         if outcome.ok:
             self.store.put(outcome)
@@ -472,85 +388,26 @@ class ExperimentServer:
                   status=cell.status,
                   error=str(outcome.error) if outcome.error else None)
         cell.done.set()
-        return False
 
-    def _requeue_or_fail(self, cell: Cell) -> bool:
-        """Schedule a retry, or fail the cell once its attempts are spent."""
-        exc_type, message = cell.failure
-        cell.last_error = f"{exc_type}: {message}"
-        if cell.attempts < self.max_attempts:
-            return True
-        cell.outcome = RunOutcome(spec=cell.spec, error=RunError(
-            exc_type=exc_type,
-            message=f"{message} (gave up after {cell.attempts} attempt(s))",
-            traceback="",
-            workload=cell.spec.workload,
-            policy=cell.spec.policy.name,
-            seed=cell.spec.seed,
-            attempts=cell.attempts,
-        ))
-        cell.status = "failed"
-        self._m_cells_terminal.labels(status="failed").inc()
-        log_event("serve", "cell_failed", level="error", cell=cell.key,
-                  cid=cell.cid or None, attempts=cell.attempts,
-                  error=cell.last_error)
-        cell.done.set()
-        return False
-
-    async def _rebuild_executor(self, generation: int) -> None:
-        """Replace the (possibly poisoned) pool, once per failure wave.
-
-        Several cells can observe the same crash; the generation counter
-        under the lock makes the first one rebuild and the rest reuse the
-        fresh pool.  Workers of the old pool that are still alive (a
-        stuck cell after a timeout) are killed so their CPU comes back.
-        """
-        assert self._rebuild_lock is not None
-        async with self._rebuild_lock:
-            if generation != self._generation:
-                return
-            self._generation += 1
-            self.executor_rebuilds += 1
-            self._m_executor_rebuilds.inc()
-            log_event("serve", "executor_rebuilt", level="warning",
-                      generation=self._generation)
-            old, self._executor = self._executor, ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
-            )
-            if old is not None:
-                processes = list((getattr(old, "_processes", None) or {}).values())
-                old.shutdown(wait=False, cancel_futures=True)
-                for process in processes:
-                    if process.is_alive():
-                        process.kill()
-
-    async def _fault_kill(self, generation: int) -> None:
-        """ServeFaultPlan hook: kill one live worker of this generation."""
+    async def _fault_kill(self, cell: Cell, attempt: int) -> None:
+        """ServeFaultPlan hook: kill one live worker during ``attempt``."""
         assert self.faults is not None
         await asyncio.sleep(self.faults.kill_delay)
         # The pool spawns processes lazily on first submit; poll briefly
         # so the kill lands even when it races the spawn.
         for _ in range(50):
-            if generation != self._generation:
+            if cell.status != "running" or cell.attempts != attempt:
                 return
-            processes = [
-                process
-                for process in (getattr(self._executor, "_processes", None) or {}).values()
-                if process.is_alive()
-            ]
-            if processes:
-                processes[0].kill()
+            workers = self.executor.live_workers()
+            if workers:
+                workers[0].kill()
                 return
             await asyncio.sleep(0.01)
 
     # -- job tracking --------------------------------------------------
 
     async def _record_job(self, job: Job) -> None:
-        """Build the job's event log as cells finish; enforce job_timeout."""
-        loop = asyncio.get_running_loop()
-        deadline = (
-            loop.time() + self.job_timeout if self.job_timeout is not None else None
-        )
+        """Build the job's event log as its cells finish."""
         pending = list(dict.fromkeys(job.keys))
         try:
             while pending:
@@ -560,28 +417,15 @@ class ExperimentServer:
                         pending.remove(key)
                         self._append_event(job, self.cells[key])
                     continue
-                waiters = {
-                    asyncio.ensure_future(self.cells[key].done.wait()): key
+                waiters = [
+                    asyncio.ensure_future(self.cells[key].done.wait())
                     for key in pending
-                }
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
-                )
-                finished, unfinished = await asyncio.wait(
-                    waiters, timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
+                ]
+                _, unfinished = await asyncio.wait(
+                    waiters, return_when=asyncio.FIRST_COMPLETED
                 )
                 for waiter in unfinished:
                     waiter.cancel()
-                if not finished and deadline is not None and loop.time() >= deadline:
-                    self.cancel_job(
-                        job,
-                        reason=f"job exceeded the {self.job_timeout}s deadline",
-                    )
-                    # Cancelled cells resolve instantly; running ones are
-                    # allowed to finish (their work is kept) — so from
-                    # here, just drain without a deadline.
-                    deadline = None
         finally:
             job.finished = True
             job.events.append({
@@ -623,7 +467,6 @@ class ExperimentServer:
         if job.cancelled or job.finished:
             return
         job.cancelled = True
-        self.cancelled_jobs += 1
         self._m_jobs_cancelled.inc()
         log_event("serve", "job_cancelled", level="warning", job=job.id,
                   cid=job.cid or None, reason=reason)
@@ -663,6 +506,11 @@ class ExperimentServer:
         }
 
     def stats(self) -> Dict[str, Any]:
+        """The status document; every counter is read from the registry."""
+
+        def count(counter: obs_metrics.Counter) -> int:
+            return int(counter.value)
+
         by_status: Dict[str, int] = {}
         for cell in self.cells.values():
             by_status[cell.status] = by_status.get(cell.status, 0) + 1
@@ -672,21 +520,20 @@ class ExperimentServer:
             "jobs": len(self.jobs),
             "cells": len(self.cells),
             "cells_by_status": by_status,
-            "specs_submitted": self.submitted,
-            "specs_deduped": self.deduped,
+            "specs_submitted": count(self._m_specs_submitted),
+            "specs_deduped": count(self._m_specs_deduped),
             "cache": self.store.summary(),
             "scheduler": {
-                "requeues": self.requeues,
-                "timeouts": self.timeouts,
-                "worker_crashes": self.worker_crashes,
-                "executor_rebuilds": self.executor_rebuilds,
-                "cancelled_jobs": self.cancelled_jobs,
-                "fault_kills": self.fault_kills,
+                "requeues": count(self._m_requeues),
+                "timeouts": count(self._m_timeouts),
+                "worker_crashes": count(self._m_worker_crashes),
+                "executor_rebuilds": count(self._m_executor_rebuilds),
+                "cancelled_jobs": count(self._m_jobs_cancelled),
+                "fault_kills": count(self._m_fault_kills),
             },
             "resilience": {
-                "cell_timeout": self.cell_timeout,
-                "job_timeout": self.job_timeout,
-                "max_attempts": self.max_attempts,
+                "cell_timeout": self.executor.timeout,
+                "max_attempts": self.executor.max_attempts,
             },
         }
         if self.faults is not None:
@@ -805,44 +652,6 @@ class ExperimentServer:
                 )
                 return
             await _respond_json(writer, 200, entry)
-        elif (
-            method == "GET"
-            and len(parts) == 3
-            and parts[0] == "results"
-            and parts[2] == "artifacts"
-        ):
-            await _respond_json(
-                writer, 200,
-                {"key": parts[1], "artifacts": self.store.list_artifacts(parts[1])},
-            )
-        elif (
-            method in ("POST", "PUT")
-            and len(parts) == 3
-            and parts[0] == "artifacts"
-        ):
-            key, name = parts[1], urllib.parse.unquote(parts[2])
-            try:
-                path = self.store.put_artifact(key, name, body)
-            except ValueError as exc:
-                raise BadRequest(str(exc)) from None
-            log_event("serve", "artifact_stored", key=key, name=name,
-                      bytes=len(body))
-            await _respond_json(
-                writer, 200,
-                {"key": key, "name": path.name, "bytes": len(body)},
-            )
-        elif method == "GET" and len(parts) == 3 and parts[0] == "artifacts":
-            key, name = parts[1], urllib.parse.unquote(parts[2])
-            content = self.store.get_artifact(key, name)
-            if content is None:
-                await _respond_json(
-                    writer, 404,
-                    {"error": f"no artifact {name!r} for result {key!r}"},
-                )
-                return
-            await _respond_bytes(
-                writer, 200, content, content_type="application/octet-stream"
-            )
         else:
             await _respond_json(
                 writer, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
@@ -938,13 +747,8 @@ def _route_label(method: str, path: str) -> str:
             return "/jobs/{id}"
         if len(parts) == 3 and parts[2] == "stream":
             return "/jobs/{id}/stream"
-    if head == "results":
-        if len(parts) == 2:
-            return "/results/{key}"
-        if len(parts) == 3 and parts[2] == "artifacts":
-            return "/results/{key}/artifacts"
-    if head == "artifacts" and len(parts) == 3:
-        return "/artifacts/{key}/{name}"
+    if head == "results" and len(parts) == 2:
+        return "/results/{key}"
     return "/other"
 
 
@@ -980,27 +784,28 @@ async def run_server(
     port: int = 8787,
     *,
     cell_timeout: Optional[float] = None,
-    job_timeout: Optional[float] = None,
     max_attempts: int = 3,
     faults: Optional[ServeFaultPlan] = None,
 ) -> None:
-    """Start a server and block until cancelled (the CLI entry point)."""
+    """Start a server and block until cancelled (the CLI entry point).
+
+    The daemon reports on the process-global registry, so its
+    ``/metrics`` also carries the result store's series.
+    """
     server = ExperimentServer(
         store,
         workers=workers,
         host=host,
         port=port,
         cell_timeout=cell_timeout,
-        job_timeout=job_timeout,
         max_attempts=max_attempts,
         faults=faults,
+        registry=obs_metrics.REGISTRY,
     )
     await server.start()
-    resilience = f"max_attempts={server.max_attempts}"
+    resilience = f"max_attempts={server.executor.max_attempts}"
     if cell_timeout is not None:
         resilience += f", cell_timeout={cell_timeout}s"
-    if job_timeout is not None:
-        resilience += f", job_timeout={job_timeout}s"
     if faults is not None:
         resilience += ", FAULT INJECTION ON"
     print(

@@ -230,25 +230,18 @@ def test_runspec_with_dict_overrides_stays_hashable():
     }
 
 
-def test_default_chunksize():
-    assert parallel._default_chunksize(1, 4) == 1
-    assert parallel._default_chunksize(8, 2) == 1
-    assert parallel._default_chunksize(64, 2) == 8
-    assert parallel._default_chunksize(1000, 4) == 62
-
-
 def test_pool_reused_across_run_many_calls():
     """The sweep-phase pattern — many same-width run_many calls — must
     reuse one pool instead of forking a fresh one per call."""
     shutdown_pool()
     try:
         run_many(tiny_specs()[:2], workers=2)
-        first = parallel._POOL
+        first = parallel._LOCAL.pool
         assert first is not None
         run_many(tiny_specs()[2:], workers=2)
-        assert parallel._POOL is first  # same width -> same pool
+        assert parallel._LOCAL.pool is first  # same width -> same pool
         run_many(tiny_specs()[:2], workers=3)
-        assert parallel._POOL is not first  # width change -> rebuilt
+        assert parallel._LOCAL.pool is not first  # width change -> rebuilt
     finally:
         shutdown_pool()
-    assert parallel._POOL is None
+    assert parallel._LOCAL.pool is None

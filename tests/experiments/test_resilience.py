@@ -85,7 +85,7 @@ def test_externally_killed_worker_does_not_poison_next_call():
     specs = [_mig_spec(1), _mig_spec(2)]
     first = run_many(specs, workers=2)
     assert all(o.ok for o in first)
-    pool = parallel._POOL
+    pool = parallel._LOCAL.pool
     assert pool is not None
     # Kill a live worker out from under the cached pool (OOM-killer sim).
     victim = next(iter(pool._processes.values()))
@@ -93,7 +93,7 @@ def test_externally_killed_worker_does_not_poison_next_call():
     victim.join()
     again = run_many(specs, workers=2)
     assert all(o.ok for o in again)
-    assert parallel._POOL is not pool  # poisoned pool was discarded
+    assert parallel._LOCAL.pool is not pool  # poisoned pool was discarded
     for a, b in zip(first, again):
         assert result_fingerprint(a.unwrap()) == result_fingerprint(b.unwrap())
 

@@ -188,7 +188,7 @@ import urllib.error
 
 import tests.experiments.chaos_workloads  # noqa: F401 - registers test workloads
 
-from repro.experiments.parallel import run_many
+from repro.experiments.parallel import run_many, shutdown_pool
 from repro.serve import ServeFaultPlan, ServeUnavailable
 from repro.serve.client import _error_body
 
@@ -356,7 +356,7 @@ def test_run_many_serve_backend_falls_back_to_local(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: /metrics scrape, artifact upload, correlation ids
+# Telemetry: /metrics scrape, correlation ids
 
 
 import urllib.request
@@ -411,35 +411,6 @@ def test_metrics_endpoint_scrapes_job_lifecycle(tmp_path):
         assert families["repro_serve_cells_running"].value() == 0
 
 
-def test_artifact_upload_roundtrip_over_http(tmp_path):
-    registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache", metrics_registry=registry)
-    with running_server(store, registry=registry) as srv:
-        client = ServeClient(f"http://127.0.0.1:{srv.port}")
-        spec = tiny_specs()[0]
-        job = client.submit_specs([spec])
-        client.wait(job["job"], timeout=120)
-        key = spec_key(spec)
-
-        payload = b"\x00\x01binary trace bytes\xff"
-        receipt = client.put_artifact(key, "trace.bin", payload)
-        assert receipt == {"key": key, "name": "trace.bin", "bytes": len(payload)}
-        client.put_artifact(key, "notes.txt", "plain text artifact")
-
-        assert client.artifacts(key) == ["notes.txt", "trace.bin"]
-        assert client.get_artifact(key, "trace.bin") == payload
-        assert client.get_artifact(key, "notes.txt") == b"plain text artifact"
-        # The bytes landed in the store's artifact dir for the cell.
-        assert store.get_artifact(key, "trace.bin") == payload
-
-        with pytest.raises(ServeError) as excinfo:
-            client.put_artifact(key, "../escape", b"nope")
-        assert excinfo.value.status == 400
-        with pytest.raises(ServeError) as excinfo:
-            client.get_artifact(key, "missing.bin")
-        assert excinfo.value.status == 404
-
-
 def test_correlation_id_threads_client_to_job(tmp_path):
     registry = MetricsRegistry()
     store = ResultStore(tmp_path / "cache", metrics_registry=registry)
@@ -450,3 +421,103 @@ def test_correlation_id_threads_client_to_job(tmp_path):
         rows = client._request("GET", "/jobs")["jobs"]
         assert [r["cid"] for r in rows] == ["sweep-e2e42"]
         assert rows[0]["complete"] and rows[0]["total"] == 1
+
+
+def test_stats_document_reads_the_metrics_registry(tmp_path):
+    """/stats is a view over the registry: after a fault-injected job
+    every scheduler counter (and the spec totals) equals its /metrics
+    series from the same daemon."""
+    faults = ServeFaultPlan(seed=11, kill_fraction=1.0, max_kills=1)
+    specs = [_hang_spec(seed=9, seconds=0.75)] + tiny_specs()
+    with running_server(ResultStore(tmp_path / "cache"), faults=faults) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        job = client.submit_specs(specs + specs[:1])
+        client.wait(job["job"], timeout=120)
+        stats = client.stats()
+        families = parse_exposition(client.metrics())
+
+    def scraped(name):
+        return families[name].value()
+
+    assert stats["scheduler"]["fault_kills"] == 1
+    assert stats["scheduler"]["requeues"] >= 1
+    expected = {
+        "requeues": "repro_serve_requeues_total",
+        "timeouts": "repro_serve_timeouts_total",
+        "worker_crashes": "repro_serve_worker_crashes_total",
+        "executor_rebuilds": "repro_serve_executor_rebuilds_total",
+        "cancelled_jobs": "repro_serve_jobs_cancelled_total",
+        "fault_kills": "repro_serve_fault_kills_total",
+    }
+    assert set(stats["scheduler"]) == set(expected)
+    for key, name in expected.items():
+        assert stats["scheduler"][key] == scraped(name), key
+    assert stats["specs_submitted"] == scraped("repro_serve_specs_submitted_total") == 4
+    assert stats["specs_deduped"] == scraped("repro_serve_specs_deduped_total") == 1
+    assert srv.requeues == scraped("repro_serve_requeues_total")
+
+
+@pytest.mark.parametrize("case", ["crash-once", "crash-always", "hang"])
+def test_local_and_serve_fail_alike(tmp_path, case):
+    """Failure parity: both front-ends drive the same cell executor, so a
+    crash or a blown deadline ends with the same error type, attempt
+    count and message, and recovered cells are byte-identical."""
+
+    def normal(seed):
+        return RunSpec.make(
+            "migratory-counters", ProtocolPolicy.adaptive_default(),
+            preset="tiny", iterations=4, seed=seed,
+        )
+
+    def specs_for(front_end):
+        if case == "crash-once":
+            marker = str(tmp_path / f"{front_end}.marker")
+            return [RunSpec.make(
+                "test-crash-once", ProtocolPolicy.adaptive_default(),
+                preset="tiny", marker=marker, seed=7,
+            ), normal(1)]
+        if case == "crash-always":
+            return [RunSpec.make(
+                "test-crash-always", policy, preset="tiny", seed=1,
+            ) for policy in (ProtocolPolicy.adaptive_default(),
+                             ProtocolPolicy.write_invalidate())]
+        return [_hang_spec(seed=3), normal(1)]
+
+    timeout = 0.5 if case == "hang" else None
+    shutdown_pool()  # fork workers that know the chaos workloads
+    try:
+        local = run_many(specs_for("local"), workers=2, timeout=timeout,
+                         max_attempts=2)
+    finally:
+        shutdown_pool()
+    with running_server(
+        ResultStore(tmp_path / "cache"), workers=2,
+        cell_timeout=timeout, max_attempts=2,
+    ) as srv:
+        specs = specs_for("serve")
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        client.wait(client.submit_specs(specs)["job"], timeout=120)
+        served = [srv.cells[spec_key(spec)] for spec in specs]
+
+    for outcome, cell in zip(local, served):
+        assert outcome.ok == cell.outcome.ok, (outcome.error, cell.outcome.error)
+        if outcome.ok:
+            assert result_fingerprint(outcome.result) == result_fingerprint(
+                cell.outcome.result
+            )
+            continue
+        mine, theirs = outcome.error, cell.outcome.error
+        assert mine.exc_type == theirs.exc_type
+        assert mine.attempts == theirs.attempts == cell.attempts == 2
+        assert mine.message == theirs.message
+        assert "gave up after 2 attempt(s)" in mine.message
+    if case == "crash-once":
+        assert all(o.ok for o in local)
+        assert served[0].attempts == 2
+    elif case == "crash-always":
+        assert {o.error.exc_type for o in local} == {"WorkerCrash"}
+        assert all("died 2 time(s)" in o.error.message for o in local)
+    else:
+        assert local[0].error.exc_type == "CellTimeout"
+        assert "0.5s per-cell deadline" in local[0].error.message
+        assert local[1].ok

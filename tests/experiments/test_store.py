@@ -238,18 +238,6 @@ def test_failed_outcome_is_not_stored(tmp_path):
     assert store.fetch(bad) is None
 
 
-def test_artifacts_round_trip(tmp_path):
-    store = ResultStore(tmp_path / "cache")
-    key = spec_key(mig_spec())
-    store.put_artifact(key, "trace.json", '{"spans": []}')
-    store.put_artifact(key, "metrics.csv", b"t,value\n")
-    assert store.list_artifacts(key) == ["metrics.csv", "trace.json"]
-    with pytest.raises(ValueError, match="plain filename"):
-        store.put_artifact(key, "../escape", "x")
-    with pytest.raises(ValueError, match="plain filename"):
-        store.put_artifact(key, ".hidden", "x")
-
-
 def test_store_summary_and_clear(tmp_path):
     store = ResultStore(tmp_path / "cache")
     run_many(sweep_specs(), store=store)
@@ -307,29 +295,6 @@ def test_prune_evicts_least_recently_fetched_first(tmp_path):
     # The evicted cell is recomputed, not served; survivors still hit.
     assert store.fetch(specs[1]) is None
     assert store.fetch(specs[2]) is not None
-
-
-def test_prune_counts_artifact_bytes_and_removes_them(tmp_path):
-    import os
-    import time
-
-    specs = sweep_specs()[:2]
-    store = ResultStore(tmp_path / "cache")
-    run_many(specs, store=store)
-    old_key, new_key = spec_key(specs[0]), spec_key(specs[1])
-    store.put_artifact(old_key, "trace.json", "x" * 4096)
-    now = time.time()
-    os.utime(store.entry_path(old_key), (now - 100, now - 100))
-
-    entry_bytes = sum(
-        store.entry_path(k).stat().st_size for k in (old_key, new_key)
-    )
-    # Without artifact accounting this budget would keep both entries.
-    report = store.prune(max_bytes=entry_bytes)
-    assert report["evicted_keys"] == [old_key]
-    assert not (store.artifacts / old_key).exists()
-    assert store.list_artifacts(old_key) == []
-    assert store.stats.evicted_bytes > 4096
 
 
 def test_prune_noop_when_under_budget(tmp_path):

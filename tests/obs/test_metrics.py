@@ -131,22 +131,6 @@ def test_invalid_names_rejected(registry):
         registry.histogram("h", labelnames=("le",))
 
 
-def test_disable_makes_mutations_noops(registry):
-    c = registry.counter("quiet", "")
-    obs_metrics.set_enabled(False)
-    try:
-        c.inc()
-        registry.gauge("g").set(5)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        assert c.value == 0
-        assert registry.get("g").value == 0
-        assert registry.get("h").count == 0
-    finally:
-        obs_metrics.set_enabled(True)
-    c.inc()
-    assert c.value == 1
-
-
 def test_concurrent_label_creation_is_safe(registry):
     c = registry.counter("race", "", labelnames=("who",))
 
