@@ -8,7 +8,6 @@ Examples::
     repro-sim figure5 --preset tiny --stats-json cache-stats.json
     repro-sim report --preset default --workers 4
     repro-sim bench --quick
-    repro-sim profile mp3d --protocol AD --top 20 --output profile.json
     repro-sim trace mp3d --protocol AD --perfetto trace.json --metrics m.csv
     repro-sim sharing migratory-counters
     repro-sim chaos mp3d --intensities 0,0.5 --preset tiny
@@ -151,33 +150,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_figure5(args: argparse.Namespace) -> int:
     """Run the Figure 5 sweep (optionally cached) and print the chart.
 
-    With a store, the sweep is checkpointed: an interrupted run saves
-    per-cell progress and ``--resume`` relaunches it, recomputing only
-    the cells the store does not already hold.  ``--backend serve``
-    executes cold cells on a remote daemon instead of local processes.
+    Every finished cell lands in the store, so an interrupted sweep
+    resumes by rerunning the same command: only the cells the store does
+    not already hold are simulated.  ``--backend serve`` executes cold
+    cells on a remote daemon instead of local processes.
     """
     import json
 
     from repro.experiments import render_figure5, run_figure5
-    from repro.experiments.checkpoint import (
-        CheckpointMismatch,
-        SweepCheckpoint,
-        SweepInterrupted,
-    )
 
     store = _open_store(args)
-    checkpoint = None
-    if args.checkpoint or args.resume:
-        if store is None:
-            raise SystemExit(
-                "--checkpoint/--resume need the result cache: a checkpoint "
-                "records which cells are warm in the store, so --no-cache "
-                "would have nothing to resume from"
-            )
-        path = args.checkpoint or (
-            store.root / "checkpoints" / f"figure5-{args.preset}.json"
-        )
-        checkpoint = SweepCheckpoint(path, resume=args.resume)
     run_kwargs = {}
     if args.timeout is not None:
         run_kwargs["timeout"] = args.timeout
@@ -190,21 +172,17 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
             check_coherence=not args.no_check,
             workers=args.workers,
             store=store,
-            checkpoint=checkpoint,
             **run_kwargs,
         )
-    except CheckpointMismatch as exc:
-        raise SystemExit(str(exc)) from None
-    except SweepInterrupted as exc:
-        counts = exc.checkpoint.counts()
-        done = counts.get("done", 0) + counts.get("cached", 0)
-        print(f"\ninterrupted: {done}/{exc.checkpoint.total} cells finished; "
-              f"checkpoint saved to {exc.checkpoint.path}")
-        print("relaunch with --resume to recompute only the cold cells")
+    except KeyboardInterrupt:
+        if store is None:
+            print("\ninterrupted; the cache is off, so a rerun starts over")
+        else:
+            held = store.stats.hits + store.stats.stores
+            print(f"\ninterrupted: the result cache at {store.root} holds "
+                  f"{held} cell(s) of this sweep; rerun the same command "
+                  f"to resume")
         return 130
-    if checkpoint is not None:
-        counts = checkpoint.counts()
-        print(f"checkpoint: {counts} -> {checkpoint.path}")
     print(render_figure5(rows))
     if store is not None:
         print()
@@ -238,15 +216,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir or default_cache_dir())
     workers = args.workers if args.workers else default_workers()
     faults = None
-    if args.fault_kills or args.fault_drop_frames:
-        # Chaos mode: deterministic worker kills / dropped stream frames
-        # to exercise the daemon's own recovery paths (CI smoke uses it).
+    if args.fault_kills:
+        # Chaos mode: deterministic worker kills to exercise the daemon's
+        # own recovery path (CI smoke uses it).
         faults = ServeFaultPlan(
-            seed=args.fault_seed,
-            kill_fraction=1.0 if args.fault_kills else 0.0,
-            max_kills=args.fault_kills,
-            drop_frame_fraction=1.0 if args.fault_drop_frames else 0.0,
-            max_drops=args.fault_drop_frames,
+            seed=args.fault_seed, kill_fraction=1.0, max_kills=args.fault_kills,
         )
     try:
         asyncio.run(run_server(
@@ -254,7 +228,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cell_timeout=args.cell_timeout, max_attempts=args.max_attempts,
             faults=faults,
         ))
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):  # Ctrl-C or SIGTERM
         print("\nshutting down")
     return 0
 
@@ -397,31 +371,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     print(render_table1(measure_table1()))
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one workload under cProfile and print the hotspot table."""
-    from repro.experiments.profiling import (
-        profile_run,
-        render_profile_doc,
-        write_profile,
-    )
-
-    doc = profile_run(
-        args.workload,
-        _policy_by_name(args.protocol),
-        preset=args.preset,
-        consistency=model_by_name(args.consistency),
-        check_coherence=not args.no_check,
-        seed=args.seed,
-        top=args.top,
-        sort=args.sort,
-    )
-    print(render_profile_doc(doc))
-    if args.output:
-        target = write_profile(doc, args.output)
-        print(f"\nwrote {target}")
     return 0
 
 
@@ -670,13 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig5_p.add_argument("--stats-json", default=None, metavar="STATS_JSON",
                         help="write cache hit/miss stats + store summary "
                              "as JSON (CI warm-cache gate reads this)")
-    fig5_p.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="record per-cell progress here (default: "
-                             "<cache>/checkpoints/figure5-<preset>.json "
-                             "when --resume is given)")
-    fig5_p.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from its "
-                             "checkpoint, recomputing only cold cells")
     fig5_p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-cell wall-clock deadline (pooled runs); "
                              "a stuck cell fails as CellTimeout instead of "
@@ -736,26 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t1_p = sub.add_parser("table1", help="measure the Table 1 latencies")
     t1_p.set_defaults(func=_cmd_table1)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="run one workload under cProfile and print the hotspot table",
-    )
-    prof_p.add_argument("workload", choices=sorted(WORKLOADS))
-    prof_p.add_argument("--protocol", default="AD")
-    prof_p.add_argument("--consistency", default="SC")
-    prof_p.add_argument("--preset", default="tiny")
-    prof_p.add_argument("--no-check", action="store_true")
-    prof_p.add_argument("--seed", type=int, default=42,
-                        help="workload seed recorded in the artifact")
-    prof_p.add_argument("--top", type=int, default=25,
-                        help="number of hotspot rows to print (default 25)")
-    prof_p.add_argument("--sort", default="tottime",
-                        choices=("tottime", "cumtime", "calls"),
-                        help="hotspot ordering (default tottime)")
-    prof_p.add_argument("--output", default=None, metavar="PROFILE_JSON",
-                        help="also write the profile as a JSON artifact")
-    prof_p.set_defaults(func=_cmd_profile)
 
     sharing_p = sub.add_parser(
         "sharing", help="classify blocks by sharing pattern (Gupta-Weber)"
@@ -873,10 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
                          help="chaos: kill up to N workers mid-cell "
                               "(seeded; exercises requeue + pool rebuild)")
-    serve_p.add_argument("--fault-drop-frames", type=int, default=0,
-                         metavar="N",
-                         help="chaos: drop up to N stream frames "
-                              "(exercises client stream resumption)")
     serve_p.add_argument("--fault-seed", type=int, default=0,
                          help="seed for the fault plan's deterministic draws")
     serve_p.add_argument("--log", default=None, metavar="DEST",

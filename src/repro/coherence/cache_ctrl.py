@@ -167,8 +167,6 @@ class CacheController:
         self.mshrs: Dict[int, MSHR] = {}
         #: Dirty data in flight to home: block -> outstanding writeback count.
         self.wb_buffer: Dict[int, int] = {}
-        #: Versions of in-flight writebacks (for NAK-free sanity checks).
-        self._wb_versions: Dict[int, int] = {}
         #: Retirements waiting for a replace_locked frame to unlock.
         self._miack_waiters: List[Callable[[], None]] = []
         #: Version observed by the most recent completed processor read
@@ -338,7 +336,6 @@ class CacheController:
             self._c_writebacks.inc()
             self.wb_buffer[victim_block] = self.wb_buffer.get(victim_block, 0) + 1
             version = cache.versions[index]
-            self._wb_versions[victim_block] = version
             self.checker.release_writable(self.node, victim_block)
             self.transport.send(
                 CoherenceMessage(
@@ -791,7 +788,6 @@ class CacheController:
         """
         self._c_writebacks.inc()
         self.wb_buffer[block] = self.wb_buffer.get(block, 0) + 1
-        self._wb_versions[block] = line.version
         self.checker.release_writable(self.node, block)
         self.transport.send(
             CoherenceMessage(
@@ -871,6 +867,5 @@ class CacheController:
             )
         if count == 1:
             del self.wb_buffer[msg.block]
-            self._wb_versions.pop(msg.block, None)
         else:
             self.wb_buffer[msg.block] = count - 1

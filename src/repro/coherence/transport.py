@@ -12,6 +12,9 @@ controller (or another cache controller).  Timing composition:
   to itself skips the mesh entirely.
 
 The transport also owns the per-kind traffic accounting used by Table 3.
+It keeps no census of messages in flight: every message between
+:meth:`Transport.send` and its dispatch is an argument of a queued engine
+event, and :meth:`Transport.introspect` reads the census from there.
 
 Hot-path layout: handlers live in node-indexed lists (``handlers[dst]``
 is a list index, not a dict hash), the mesh for a message is picked by
@@ -22,7 +25,7 @@ name-string dispatch), and every deferred hop is scheduled as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.coherence.messages import (
     KINDS_BY_INDEX,
@@ -78,9 +81,6 @@ class Transport:
         #: this is the paper's "network traffic" metric.
         self.network_bits = 0
         self.network_messages = 0
-        #: In-flight census: id(msg) -> (msg, injection time).  A message
-        #: is in flight from ``send`` until its handler dispatch.
-        self._inflight: Dict[int, Tuple[CoherenceMessage, int]] = {}
         #: Optional :class:`~repro.obs.tracer.TransactionTracer` notified
         #: at every injection and dispatch of a traced message.  ``None``
         #: keeps the hot path to one attribute test per hook site.
@@ -105,7 +105,6 @@ class Transport:
     # ------------------------------------------------------------------
     def send(self, msg: CoherenceMessage) -> None:
         """Inject ``msg`` at the current time (via the fault plan, if any)."""
-        self._inflight[id(msg)] = (msg, self.sim.now)
         if self._faults is not None:
             self._faults.on_send(msg)
             return
@@ -165,7 +164,6 @@ class Transport:
             sim.schedule_at(done, self._dispatch, msg)
 
     def _dispatch(self, msg: CoherenceMessage) -> None:
-        self._inflight.pop(id(msg), None)
         tracer = self.tracer
         if tracer is not None and msg.trace:
             # Before the handler: it may consume and recycle the message.
@@ -215,11 +213,7 @@ class Transport:
         return self._count_by_kind[kind.index]
 
     def reset_stats(self) -> None:
-        """Zero the traffic accounting (end-of-warmup stats mark).
-
-        The in-flight census is *not* cleared: it tracks liveness, not
-        measurement.
-        """
+        """Zero the traffic accounting (end-of-warmup stats mark)."""
         self._bits_by_kind = [0] * NUM_KINDS
         self._count_by_kind = [0] * NUM_KINDS
         self.network_bits = 0
@@ -229,19 +223,33 @@ class Transport:
     # Introspection
     # ------------------------------------------------------------------
     def introspect(self) -> List[dict]:
-        """The in-flight message census, oldest first (for diagnostics)."""
-        now = self.sim.now
-        census = [
-            {
-                "kind": msg.kind.value,
-                "src": msg.src,
-                "dst": msg.dst,
-                "block": msg.block,
-                "requester": msg.requester,
-                "sent_at": sent_at,
-                "age": now - sent_at,
-            }
-            for msg, sent_at in self._inflight.values()
-        ]
-        census.sort(key=lambda m: (m["sent_at"], m["src"], m["dst"], m["kind"]))
-        return census
+        """The in-flight message census in firing order (for diagnostics).
+
+        A message is in flight from :meth:`send` until its dispatch, and
+        all that time it is an argument of a pending engine event
+        (``_dispatch``, ``_inject``, the mesh's ``_complete`` or the fault
+        plan's ``_flush``/``_send_now``).  Queued ``send`` calls (service
+        delays) have not been injected yet and are skipped; so is a
+        ``_flush`` whose message the plan already released.  ``due_at``
+        is when the message's next event fires.
+        """
+        faults = self._faults
+        census: Dict[int, dict] = {}
+        for due_at, callback, args in self.sim.pending_events():
+            if callback == self.send:
+                continue
+            if faults is not None and callback == faults._flush:
+                src, held = args
+                if faults._held.get(src) is not held:
+                    continue
+            for msg in args:
+                if isinstance(msg, CoherenceMessage) and id(msg) not in census:
+                    census[id(msg)] = {
+                        "kind": msg.kind.value,
+                        "src": msg.src,
+                        "dst": msg.dst,
+                        "block": msg.block,
+                        "requester": msg.requester,
+                        "due_at": due_at,
+                    }
+        return list(census.values())

@@ -27,13 +27,6 @@ Design points:
   after deterministic backoff, until ``max_attempts`` are spent and the
   cell fails with a ``WorkerCrash`` or ``CellTimeout`` :class:`RunError`.
   The serial inline path cannot preempt a run and ignores ``timeout``.
-* **Checkpointed sweeps.**  ``run_many(..., checkpoint=...)`` records
-  per-cell progress in a
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint`; an interrupt
-  (Ctrl-C) saves the checkpoint and raises
-  :class:`~repro.experiments.checkpoint.SweepInterrupted` carrying the
-  partial results, so the sweep can be relaunched to recompute only cold
-  cells (the :class:`ResultStore` holds the warm ones).
 * **Serial inline path.**  ``workers=1`` or a single spec runs inline
   in this process (no pool, no pickling).
 * **Pool reuse.**  The process pool persists across :func:`run_many`
@@ -43,7 +36,9 @@ Design points:
   previously computed cells from a
   :class:`~repro.experiments.store.ResultStore` and populates it with
   fresh ones; cached outcomes are fingerprint-verified and byte-identical
-  to recomputation.
+  to recomputation.  Every finished cell is stored even when the sweep
+  is interrupted (Ctrl-C), so rerunning the same sweep over the same
+  store is a resume: only the cold cells are simulated.
 * **Remote execution.**  ``run_many(..., backend="serve")`` ships the
   cold cells to a ``repro-sim serve`` daemon
   (:class:`~repro.serve.client.ServeClient`) and falls back to local
@@ -58,6 +53,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import random
+import signal
 import sys
 import time
 import traceback
@@ -352,6 +348,18 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     return None
 
 
+def _reset_worker_signals() -> None:
+    """Pool initializer: give a forked worker default SIGTERM handling.
+
+    A worker forked from ``repro-sim serve`` inherits the daemon's
+    SIGTERM handler and the asyncio wakeup fd it writes to, so a SIGTERM
+    meant for the worker (a broken pool terminates its survivors) would
+    wake the daemon's loop and shut the daemon down instead.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def default_workers() -> int:
     """A sensible worker count for this host (>= 1)."""
     return max(1, multiprocessing.cpu_count() or 1)
@@ -400,7 +408,8 @@ class CellExecutor:
             self._rebuild(self.generation)  # a worker died between calls
         if self.pool is None:
             self.pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
+                max_workers=self.workers, mp_context=_pool_context(),
+                initializer=_reset_worker_signals,
             )
         return self.pool
 
@@ -576,7 +585,6 @@ def run_many(
     *,
     timeout: Optional[float] = None,
     max_attempts: int = 3,
-    checkpoint: Optional[Any] = None,
     backend: str = "local",
     serve_url: Optional[str] = None,
 ) -> List[RunOutcome]:
@@ -592,7 +600,8 @@ def run_many(
     ``store`` (a :class:`~repro.experiments.store.ResultStore`) is
     consulted per spec before simulating — hits come back as cached
     outcomes with verified fingerprints — and populated with every fresh
-    successful result afterwards.  Failed runs are never cached.
+    successful result afterwards.  Failed runs are never cached.  Cells
+    that finished before an interrupt are stored before it propagates.
 
     Resilience knobs:
 
@@ -601,11 +610,6 @@ def run_many(
       instead of hanging the sweep.
     * ``max_attempts`` — attempts per cell before a crash or timeout
       becomes a terminal ``WorkerCrash``/``CellTimeout`` error.
-    * ``checkpoint`` — a
-      :class:`~repro.experiments.checkpoint.SweepCheckpoint` updated as
-      cells finish; a KeyboardInterrupt saves it and raises
-      :class:`~repro.experiments.checkpoint.SweepInterrupted` with the
-      partial outcomes.
     * ``backend="serve"`` — execute cold cells on a remote ``repro-sim
       serve`` daemon (``serve_url``, ``$REPRO_SIM_SERVE``, or
       localhost:8787), falling back to local execution when the daemon
@@ -618,8 +622,6 @@ def run_many(
     metrics = _RUNMANY_METRICS
     metrics["sweeps"].inc()
     sweep_cid = new_correlation_id("sweep")
-    if checkpoint is not None:
-        checkpoint.begin(specs)
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
 
     def record(index: int, outcome: RunOutcome, put: bool) -> None:
@@ -628,8 +630,6 @@ def run_many(
             metrics["cell_seconds"].observe(outcome.wall_time)
         if put and store is not None and outcome.ok:
             store.put(outcome)
-        if checkpoint is not None:
-            checkpoint.record(specs[index], outcome)
 
     pending: List[Tuple[int, RunSpec]] = []
     for index, spec in enumerate(specs):
@@ -641,36 +641,28 @@ def run_many(
 
     log_event("run_many", "sweep_started", cid=sweep_cid, cells=len(specs),
               cold=len(pending), workers=workers, backend=backend)
-    try:
-        with correlation_scope(sweep_cid):
-            if pending and backend == "serve":
-                served = _run_via_serve(
-                    [spec for _, spec in pending], serve_url, cid=sweep_cid
+    with correlation_scope(sweep_cid):
+        if pending and backend == "serve":
+            served = _run_via_serve(
+                [spec for _, spec in pending], serve_url, cid=sweep_cid
+            )
+            if served is not None:
+                for (index, _), outcome in zip(pending, served):
+                    record(index, outcome, put=True)
+                pending = []
+        if pending:
+            if workers > 1 and len(pending) > 1:
+                _run_pooled(
+                    pending, workers, timeout, max_attempts, sweep_cid,
+                    lambda index, outcome: record(
+                        index, outcome, put=not outcome.cached
+                    ),
                 )
-                if served is not None:
-                    for (index, _), outcome in zip(pending, served):
-                        record(index, outcome, put=True)
-                    pending = []
-            if pending:
-                if workers > 1 and len(pending) > 1:
-                    _run_pooled(
-                        pending, workers, timeout, max_attempts, sweep_cid,
-                        lambda index, outcome: record(
-                            index, outcome, put=not outcome.cached
-                        ),
-                    )
-                else:
-                    # Record cell by cell so an interrupt keeps finished work.
-                    for index, spec in pending:
-                        outcome = execute_spec(spec)
-                        record(index, outcome, put=not outcome.cached)
-    except KeyboardInterrupt:
-        if checkpoint is None:
-            raise
-        from repro.experiments.checkpoint import SweepInterrupted
-
-        checkpoint.save()
-        raise SweepInterrupted(outcomes, checkpoint) from None
+            else:
+                # Record cell by cell so an interrupt keeps finished work.
+                for index, spec in pending:
+                    outcome = execute_spec(spec)
+                    record(index, outcome, put=not outcome.cached)
     log_event("run_many", "sweep_finished", cid=sweep_cid, cells=len(specs),
               failed=sum(1 for o in outcomes if o is not None and not o.ok))
     assert all(outcome is not None for outcome in outcomes)

@@ -126,7 +126,7 @@ class DiagnosticDump:
         for m in self.messages:
             lines.append(
                 f"  {m['kind']} blk={m.get('block')} {m['src']}->{m['dst']}"
-                f" sent_at={m.get('sent_at')} age={m.get('age')}"
+                f" due_at={m.get('due_at')}"
             )
         for name, value in sorted(self.extra.items()):
             lines.append(f"{name}: {value}")

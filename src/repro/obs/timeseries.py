@@ -183,7 +183,7 @@ class MetricsSampler:
                     for d in m.directories
                     for e in d.entries.values()
                 ),
-                len(m.transport._inflight),
+                len(m.transport.introspect()),
                 utils[0],
                 utils[1],
                 utils[2],

@@ -20,9 +20,6 @@ Resilience:
 * :meth:`wait` polls with capped exponential backoff instead of a fixed
   interval, so short jobs resolve quickly and long jobs don't hammer
   the daemon.
-* :meth:`stream` resumes a dropped NDJSON connection from the last
-  event actually seen (the server replays from ``?after=<seq>``), so a
-  flaky network yields each progress event exactly once.
 * :meth:`run_many` executes a whole sweep remotely and rebuilds
   fingerprint-verified :class:`~repro.experiments.parallel.RunOutcome`
   objects, making a remote daemon a drop-in execution backend.
@@ -36,7 +33,7 @@ import socket
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import (
     RunError,
@@ -94,22 +91,10 @@ def _error_body(exc: urllib.error.HTTPError) -> Any:
     return exc.reason
 
 
-_CLIENT_METRICS: Optional[Dict[str, Any]] = None
-
-
-def _client_metrics() -> Dict[str, Any]:
-    """ServeClient instruments on the global registry, built once."""
-    global _CLIENT_METRICS
-    if _CLIENT_METRICS is None:
-        _CLIENT_METRICS = {
-            "retries": obs_metrics.counter(
-                "repro_client_retries_total",
-                "Requests re-sent after a connection-level failure."),
-            "resumptions": obs_metrics.counter(
-                "repro_client_stream_resumptions_total",
-                "NDJSON streams reconnected with ?after= after a drop."),
-        }
-    return _CLIENT_METRICS
+#: Requests re-sent after a connection-level failure (global registry).
+_RETRIES = obs_metrics.counter(
+    "repro_client_retries_total",
+    "Requests re-sent after a connection-level failure.")
 
 
 class ServeClient:
@@ -140,7 +125,7 @@ class ServeClient:
             raise
         except _CONNECTION_ERRORS as exc:
             if attempt <= self.retries:
-                _client_metrics()["retries"].inc()
+                _RETRIES.inc()
                 time.sleep(backoff_delay(attempt, key=f"{self.base_url}:{label}"))
             raise exc
 
@@ -237,69 +222,6 @@ class ServeClient:
                 )
             time.sleep(min(interval, max(0.0, deadline - time.monotonic())))
             interval = min(interval * 2, poll_cap)
-
-    def stream(
-        self, job_id: str, after: int = -1, resume: bool = True
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield the job's NDJSON progress events as they arrive.
-
-        Every event carries a monotonically increasing ``seq``; when the
-        connection drops mid-stream (or a frame arrives truncated), the
-        client reconnects with ``?after=<last seen seq>`` and the server
-        replays only what was missed — each event is yielded exactly
-        once.  The terminal ``job-done`` event ends the stream; an EOF
-        *without* it is treated as a drop.
-        """
-        last = after
-        failures = 0
-        while True:
-            request = urllib.request.Request(
-                f"{self.base_url}/jobs/{job_id}/stream?after={last}", method="GET"
-            )
-            finished = False
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    for line in response:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        event = json.loads(line.decode())
-                        last = event.get("seq", last)
-                        failures = 0
-                        yield event
-                        if event.get("event") == "job-done":
-                            finished = True
-                            break
-            except urllib.error.HTTPError as exc:
-                raise ServeError(exc.code, _error_body(exc)) from None
-            except (_CONNECTION_ERRORS + (ValueError,)) as exc:
-                # ValueError: a frame truncated by a dropped connection.
-                failures = self._resume(
-                    job_id, last, failures, resume, f"dropped after event {last}: {exc}"
-                )
-                continue
-            if finished:
-                return
-            # Clean EOF without job-done: the server hung up early.
-            failures = self._resume(
-                job_id, last, failures, resume,
-                f"ended after event {last} without job-done",
-            )
-
-    def _resume(
-        self, job_id: str, last: int, failures: int, resume: bool, why: str
-    ) -> int:
-        """Back off before reconnecting a dropped stream, or give up."""
-        if not resume or failures >= self.retries:
-            raise ServeUnavailable(f"stream for job {job_id} {why}")
-        failures += 1
-        _client_metrics()["resumptions"].inc()
-        log_event("client", "stream_resumed", level="warning",
-                  job=job_id, after=last)
-        time.sleep(backoff_delay(
-            failures, key=f"{self.base_url}:stream {job_id}"
-        ))
-        return failures
 
     # -- sweep backend -------------------------------------------------
 

@@ -17,18 +17,11 @@ API
                                resolve instantly, duplicates (within the
                                batch or against other clients' in-flight
                                cells) attach to the existing cell.
-``GET    /jobs``               one summary row per live job
-``GET    /jobs/<id>``          job status: per-cell state + counts
+``GET    /jobs/<id>``          job status: per-cell state, counts and the
+                               job's correlation id; clients poll it
 ``DELETE /jobs/<id>``          cancel: queued/backoff cells not shared
                                with another live job are abandoned;
                                running cells finish (their work is kept)
-``GET    /jobs/<id>/stream``   newline-delimited JSON progress events,
-                               one per cell completion, then a
-                               ``job-done`` line.  Every event carries a
-                               monotonically increasing ``seq``;
-                               ``?after=<seq>`` replays from there, so a
-                               client that lost its connection resumes
-                               without missing or repeating events
 ``GET    /results/<key>``      the stored entry (spec, fingerprint, result)
 ``GET    /stats``              cache stats + scheduler/resilience counters
 ``GET    /metrics``            Prometheus text exposition (version 0.0.4)
@@ -59,14 +52,15 @@ status, dedupe, cancellation and fault-kill bookkeeping.  Every unique
 cell executes at most once no matter how many jobs reference it — the
 dedupe map is keyed by the same content address the store uses.  A
 :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery paths
-chaos-testable with seeded worker kills and dropped stream frames.
+chaos-testable with seeded worker kills.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-import urllib.parse
+import signal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -121,7 +115,7 @@ class Cell:
 
 @dataclass
 class Job:
-    """One submitted batch: an ordered list of cell keys + its event log."""
+    """One submitted batch: an ordered list of cell keys."""
 
     id: str
     keys: List[str] = field(default_factory=list)
@@ -129,11 +123,6 @@ class Job:
     finished: bool = False
     #: Correlation id supplied by the submitting client ("" if none).
     cid: str = ""
-    #: Append-only NDJSON event log; index == event["seq"], so any
-    #: stream connection can replay from ``?after=<seq>``.
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Replaced-and-set on every append; streams wait on the current one.
-    changed: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class ExperimentServer:
@@ -208,7 +197,7 @@ class ExperimentServer:
         self._m_jobs_submitted = reg.counter(
             "repro_serve_jobs_submitted_total", "Jobs accepted via POST /jobs.")
         self._m_jobs_finished = reg.counter(
-            "repro_serve_jobs_finished_total", "Jobs whose event log reached job-done.")
+            "repro_serve_jobs_finished_total", "Jobs whose cells all reached a terminal state.")
         self._m_jobs_cancelled = reg.counter(
             "repro_serve_jobs_cancelled_total", "Jobs cancelled by DELETE.")
         self._m_specs_submitted = reg.counter(
@@ -240,9 +229,6 @@ class ExperimentServer:
         self._m_fault_kills = reg.counter(
             "repro_serve_fault_kills_total",
             "Worker kills injected by the ServeFaultPlan.")
-        self._m_dropped_frames = reg.counter(
-            "repro_serve_dropped_frames_total",
-            "Stream frames dropped by the ServeFaultPlan.")
 
         def count_cells(*statuses: str) -> int:
             return sum(1 for c in self.cells.values() if c.status in statuses)
@@ -257,12 +243,8 @@ class ExperimentServer:
             "Cells waiting for a worker (queued or in backoff).",
         ).set_function(lambda: count_cells("queued", "backoff"))
         reg.gauge(
-            "repro_serve_jobs_open", "Jobs whose event log has not reached job-done.",
+            "repro_serve_jobs_open", "Jobs with a cell not yet terminal.",
         ).set_function(lambda: sum(1 for j in self.jobs.values() if not j.finished))
-        reg.gauge(
-            "repro_serve_event_log_depth",
-            "Total buffered stream events across all job logs.",
-        ).set_function(lambda: sum(len(j.events) for j in self.jobs.values()))
         reg.gauge(
             "repro_serve_executor_generation",
             "Process-pool generation (increments on every rebuild).",
@@ -407,54 +389,16 @@ class ExperimentServer:
     # -- job tracking --------------------------------------------------
 
     async def _record_job(self, job: Job) -> None:
-        """Build the job's event log as its cells finish."""
-        pending = list(dict.fromkeys(job.keys))
+        """Mark the job finished once every one of its cells is terminal."""
         try:
-            while pending:
-                ready = [key for key in pending if self.cells[key].done.is_set()]
-                if ready:
-                    for key in ready:
-                        pending.remove(key)
-                        self._append_event(job, self.cells[key])
-                    continue
-                waiters = [
-                    asyncio.ensure_future(self.cells[key].done.wait())
-                    for key in pending
-                ]
-                _, unfinished = await asyncio.wait(
-                    waiters, return_when=asyncio.FIRST_COMPLETED
-                )
-                for waiter in unfinished:
-                    waiter.cancel()
+            await asyncio.gather(*(
+                self.cells[key].done.wait() for key in dict.fromkeys(job.keys)
+            ))
         finally:
             job.finished = True
-            job.events.append({
-                "event": "job-done",
-                "job": job.id,
-                "total": len(job.keys),
-                "seq": len(job.events),
-                "cancelled": job.cancelled,
-            })
             self._m_jobs_finished.inc()
             log_event("serve", "job_finished", job=job.id, cid=job.cid or None,
                       total=len(job.keys), cancelled=job.cancelled)
-            self._notify(job)
-
-    def _append_event(self, job: Job, cell: Cell) -> None:
-        event = dict(cell.to_json())
-        event.update({
-            "event": "cell",
-            "seq": len(job.events),
-            "finished": len(job.events) + 1,
-            "total": len(job.keys),
-        })
-        job.events.append(event)
-        self._notify(job)
-
-    @staticmethod
-    def _notify(job: Job) -> None:
-        waiter, job.changed = job.changed, asyncio.Event()
-        waiter.set()
 
     def cancel_job(self, job: Job, reason: str = "cancelled by client") -> None:
         """Abandon the job's not-yet-running cells (unless shared).
@@ -501,6 +445,7 @@ class ExperimentServer:
             "finished": finished,
             "complete": finished == len(cells),
             "cancelled": job.cancelled,
+            "cid": job.cid,
             "counts": counts,
             "cells": cells,
         }
@@ -586,9 +531,7 @@ class ExperimentServer:
         body: bytes,
         writer: asyncio.StreamWriter,
     ) -> None:
-        raw_path, _, query_string = path.partition("?")
-        parts = [part for part in raw_path.split("/") if part]
-        query = urllib.parse.parse_qs(query_string)
+        parts = [part for part in path.partition("?")[0].split("/") if part]
         if method == "GET" and parts == ["healthz"]:
             await _respond_json(
                 writer, 200,
@@ -601,16 +544,6 @@ class ExperimentServer:
             await _respond_bytes(
                 writer, 200, self.registry.exposition().encode(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif method == "GET" and parts == ["jobs"]:
-            jobs = []
-            for job in self.jobs.values():
-                status = self.job_status(job)
-                status.pop("cells", None)
-                status["cid"] = job.cid
-                jobs.append(status)
-            await _respond_json(
-                writer, 200, {"schema": SERVE_SCHEMA, "jobs": jobs}
             )
         elif method == "POST" and parts == ["jobs"]:
             try:
@@ -627,23 +560,6 @@ class ExperimentServer:
             if method == "DELETE":
                 self.cancel_job(job)
             await _respond_json(writer, 200, self.job_status(job))
-        elif (
-            method == "GET"
-            and len(parts) == 3
-            and parts[0] == "jobs"
-            and parts[2] == "stream"
-        ):
-            job = self.jobs.get(parts[1])
-            if job is None:
-                await _respond_json(writer, 404, {"error": f"no job {parts[1]!r}"})
-                return
-            try:
-                after = int(query.get("after", ["-1"])[0])
-            except ValueError:
-                raise BadRequest(
-                    f"after must be an integer, got {query['after'][0]!r}"
-                ) from None
-            await self._stream_job(job, writer, after)
         elif method == "GET" and len(parts) == 2 and parts[0] == "results":
             entry = self.store.load_entry(parts[1])
             if entry is None:
@@ -656,44 +572,6 @@ class ExperimentServer:
             await _respond_json(
                 writer, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
             )
-
-    async def _stream_job(
-        self, job: Job, writer: asyncio.StreamWriter, after: int = -1
-    ) -> None:
-        """NDJSON progress replayed from ``after``: the job's event log.
-
-        Events are served from the job's append-only log, so any number
-        of connections — including one resuming after a drop — see the
-        same sequence.  The ``ServeFaultPlan`` drop-frame hook aborts the
-        connection *instead of* sending a frame, exercising exactly the
-        client's resume path.
-        """
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-        index = max(0, after + 1)
-        while True:
-            if index < len(job.events):
-                event = job.events[index]
-                index += 1
-                if self.faults is not None and self.faults.should_drop_frame(
-                    job.id, event["seq"]
-                ):
-                    self._m_dropped_frames.inc()
-                    return  # dropped: the client reconnects with ?after=
-                writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-                await writer.drain()
-                if event.get("event") == "job-done":
-                    return
-                continue
-            waiter = job.changed
-            if index < len(job.events):
-                continue
-            await waiter.wait()
 
 
 async def _read_request(
@@ -729,7 +607,7 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
 def _route_label(method: str, path: str) -> str:
     """Collapse a concrete path to its route pattern for metric labels.
 
-    ``/jobs/job-3/stream`` -> ``/jobs/{id}/stream``; unknown shapes map to
+    ``/jobs/job-3`` -> ``/jobs/{id}``; unknown shapes map to
     ``/other`` so label cardinality stays bounded no matter what clients
     throw at the socket.
     """
@@ -745,8 +623,6 @@ def _route_label(method: str, path: str) -> str:
             return "/jobs"
         if len(parts) == 2:
             return "/jobs/{id}"
-        if len(parts) == 3 and parts[2] == "stream":
-            return "/jobs/{id}/stream"
     if head == "results" and len(parts) == 2:
         return "/results/{key}"
     return "/other"
@@ -790,7 +666,9 @@ async def run_server(
     """Start a server and block until cancelled (the CLI entry point).
 
     The daemon reports on the process-global registry, so its
-    ``/metrics`` also carries the result store's series.
+    ``/metrics`` also carries the result store's series.  SIGTERM
+    cancels the serving task like Ctrl-C does, so ``close`` still runs
+    and kills the pool's workers.
     """
     server = ExperimentServer(
         store,
@@ -813,6 +691,10 @@ async def run_server(
         f"({server.workers} workers, cache {store.root}, {resilience})",
         flush=True,
     )
+    current = asyncio.current_task()
+    assert current is not None
+    with contextlib.suppress(NotImplementedError):  # no signal API (Windows)
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, current.cancel)
     try:
         await server.serve_forever()
     finally:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -149,6 +149,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued."""
         return self._size
+
+    def pending_events(self) -> List[Tuple[int, Callable, tuple]]:
+        """Every queued event as ``(time, callback, args)``, in firing order.
+
+        A cold-path view for diagnostics; the queue is left untouched.
+        """
+        buckets = self._buckets
+        return [
+            (time, callback, args)
+            for time in sorted(buckets)
+            for callback, args in buckets[time]
+        ]
 
     def run(self, until: Optional[int] = None) -> None:
         """Process events until the queue is empty or ``until`` is reached.

@@ -4,9 +4,14 @@ import pytest
 
 from repro.coherence.messages import CoherenceMessage, MsgKind
 from repro.coherence.transport import Transport
+from repro.core.policy import ProtocolPolicy
+from repro.faults.plan import FaultConfig
+from repro.machine.config import MachineConfig
+from repro.machine.system import Machine
 from repro.memory.bus import LocalBus
 from repro.network.interface import Fabric
 from repro.sim.engine import SimulationError, Simulator
+from repro.workloads import make_workload
 
 
 def make_transport():
@@ -100,3 +105,62 @@ def test_point_to_point_fifo_same_kind():
     transport.send(CoherenceMessage(src=0, dst=3, kind=MsgKind.RR, block=2))
     sim.run()
     assert order == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "faults", [None, FaultConfig(seed=3, intensity=1.0)], ids=["clean", "faults"]
+)
+def test_census_lists_exactly_the_messages_in_flight(faults):
+    """The census read off the pending events equals a send/dispatch
+    ledger kept beside the transport, mid-run and after the run, and the
+    sampler's ``msgs_inflight`` column counts the same messages."""
+    config = MachineConfig.dash_default(
+        policy=ProtocolPolicy.adaptive_default(), metrics_interval=50,
+        faults=faults,
+    )
+    machine = Machine(config)
+    transport, sim = machine.transport, machine.sim
+    ledger = {}
+    send, dispatch = transport.send, transport._dispatch
+
+    def ledger_send(msg):
+        ledger[id(msg)] = msg
+        send(msg)
+
+    def ledger_dispatch(msg):
+        del ledger[id(msg)]
+        dispatch(msg)
+
+    transport.send, transport._dispatch = ledger_send, ledger_dispatch
+
+    def census():
+        return sorted(
+            (m["kind"], m["src"], m["dst"], m["block"], m["requester"])
+            for m in transport.introspect()
+        )
+
+    def expected():
+        return sorted(
+            (m.kind.value, m.src, m.dst, m.block, m.requester)
+            for m in ledger.values()
+        )
+
+    workload = make_workload("migratory-counters", config.num_nodes, "tiny", seed=42)
+    for processor, program in zip(machine.processors, workload.programs()):
+        processor.start(program)
+    machine.metrics.start()
+    busiest = 0
+    for until in range(37, 4000, 97):
+        sim.run(until=until)
+        assert census() == expected(), f"t={until}"
+        busiest = max(busiest, len(ledger))
+    assert busiest > 0, "no message was ever caught in flight"
+
+    machine.metrics._tick()
+    row = dict(zip(machine.metrics.ring.columns, machine.metrics.ring.rows[-1]))
+    assert row["msgs_inflight"] == len(ledger)
+
+    sim.run()
+    assert all(processor.done for processor in machine.processors)
+    assert ledger == {}
+    assert transport.introspect() == []

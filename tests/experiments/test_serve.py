@@ -4,7 +4,7 @@ The server runs on an asyncio loop in a background thread bound to an
 ephemeral port; the stdlib ``ServeClient`` talks to it exactly as a
 remote submitter would.  Under test: batch submission, cross-submission
 dedupe by content address, cache-backed instant resolution on resubmit,
-NDJSON progress streaming, and result fingerprints matching a local run.
+job status polling, and result fingerprints matching a local run.
 """
 
 import asyncio
@@ -98,16 +98,6 @@ def test_serve_end_to_end(server, client):
     assert entry["fingerprint"] == result_fingerprint(
         execute_spec(specs[0]).unwrap()
     )
-
-    # The stream replays one event per unique finished cell, then job-done.
-    events = list(client.stream(job["job"]))
-    assert [e["event"] for e in events[:-1]] == ["cell"] * 2
-    assert all(e["status"] == "done" for e in events[:-1])
-    assert [e["seq"] for e in events] == [0, 1, 2]
-    assert events[-1] == {
-        "event": "job-done", "job": job["job"], "total": 3,
-        "seq": 2, "cancelled": False,
-    }
 
     # Resubmission to the same server attaches to the completed in-memory
     # cells — instantly complete, nothing re-simulated.
@@ -284,20 +274,6 @@ def test_serve_delete_cancels_queued_cells_and_resubmit_revives(tmp_path):
         assert set(status.values()) <= {"queued", "running"}
 
 
-def test_serve_stream_resumes_across_dropped_frames(tmp_path):
-    faults = ServeFaultPlan(seed=5, drop_frame_fraction=1.0, max_drops=2)
-    with running_server(ResultStore(tmp_path / "cache"), faults=faults) as srv:
-        client = ServeClient(f"http://127.0.0.1:{srv.port}")
-        specs = tiny_specs()
-        job = client.submit_specs(specs)
-        client.wait(job["job"], timeout=120)
-        events = list(client.stream(job["job"]))
-        # Exactly once, in order, despite two dropped connections.
-        assert [e["seq"] for e in events] == [0, 1, 2]
-        assert events[-1]["event"] == "job-done"
-        assert client.stats()["faults"]["drops"] == 2
-
-
 def test_error_body_prefers_payload_over_status_line():
     def http_error(body):
         return urllib.error.HTTPError(
@@ -418,9 +394,9 @@ def test_correlation_id_threads_client_to_job(tmp_path):
         client = ServeClient(f"http://127.0.0.1:{srv.port}", cid="sweep-e2e42")
         job = client.submit_specs([tiny_specs()[0]])
         client.wait(job["job"], timeout=120)
-        rows = client._request("GET", "/jobs")["jobs"]
-        assert [r["cid"] for r in rows] == ["sweep-e2e42"]
-        assert rows[0]["complete"] and rows[0]["total"] == 1
+        status = client.job(job["job"])
+        assert status["cid"] == "sweep-e2e42"
+        assert status["complete"] and status["total"] == 1
 
 
 def test_stats_document_reads_the_metrics_registry(tmp_path):
@@ -521,3 +497,88 @@ def test_local_and_serve_fail_alike(tmp_path, case):
         assert local[0].error.exc_type == "CellTimeout"
         assert "0.5s per-cell deadline" in local[0].error.message
         assert local[1].ok
+
+
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+
+def _live_children(pid):
+    """PIDs of ``pid``'s children that are neither gone nor zombies."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            status = (entry / "status").read_text()
+        except OSError:
+            continue
+        fields = dict(
+            line.split(":", 1) for line in status.splitlines() if ":" in line
+        )
+        if (fields.get("PPid", "").strip() == str(pid)
+                and not fields.get("State", "").strip().startswith("Z")):
+            children.append(int(entry.name))
+    return children
+
+
+def _alive(pid):
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return not any(
+        line.startswith("State:") and line.split()[1] == "Z"
+        for line in status.splitlines()
+    )
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc to find the daemon's workers")
+def test_sigterm_stops_the_daemon_and_its_workers(tmp_path):
+    env = dict(os.environ)
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", "2", "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([daemon.stdout], [], [], 30)
+        assert ready, "the daemon printed no banner within 30 s"
+        banner = daemon.stdout.readline()
+        assert banner.startswith("repro-sim serve: http://"), banner
+        url = banner.split()[2]
+        client = ServeClient(url)
+        job = client.submit_specs([tiny_specs()[0]])
+        assert client.wait(job["job"], timeout=120)["cells"][0]["status"] == "done"
+        workers = _live_children(daemon.pid)
+        assert workers, "the daemon never started a worker"
+
+        # A SIGTERM meant for one worker (a broken pool terminates its
+        # survivors) must not reach the daemon's own handler.
+        os.kill(workers[0], signal.SIGTERM)
+        job = client.submit_specs([tiny_specs()[1]])
+        assert client.wait(job["job"], timeout=120)["cells"][0]["status"] == "done"
+        assert daemon.poll() is None
+        workers = _live_children(daemon.pid)
+        assert workers
+
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _alive(pid)] == []
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+        daemon.stdout.close()

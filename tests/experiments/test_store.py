@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+import tests.experiments.chaos_workloads  # noqa: F401 - registers test workloads
+
 from repro.consistency.models import model_by_name
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import (
@@ -306,3 +308,35 @@ def test_prune_noop_when_under_budget(tmp_path):
     assert store.stats.evictions == 0
     summary = store.summary()
     assert summary["evictions"] == 0
+
+
+def test_interrupt_keeps_finished_cells_and_rerun_recomputes_only_cold(tmp_path):
+    """The resume path: a sweep interrupted mid-run has already stored
+    the cells it finished, so rerunning it over the same store directory
+    simulates only the cells the store does not hold."""
+    specs = sweep_specs()[:2] + [
+        RunSpec.make(
+            "test-interrupt-once", ProtocolPolicy.adaptive_default(),
+            preset="tiny", marker=str(tmp_path / "interrupt.marker"),
+            tag="boom",
+        ),
+        RunSpec.make(
+            "migratory-counters", ProtocolPolicy.adaptive_default(),
+            preset="tiny", iterations=7, tag="tail",
+        ),
+    ]
+    store = ResultStore(tmp_path / "cache")
+    with pytest.raises(KeyboardInterrupt):
+        run_many(specs, store=store)
+    # Serial execution: the first two finished and were stored.
+    assert store.stats.stores == 2
+
+    # Rerun over a fresh store on the same directory: the two warm cells
+    # are served, only the two cold ones are simulated (the marker now
+    # defuses the interrupt).
+    second_store = ResultStore(tmp_path / "cache")
+    outcomes = run_many(specs, store=second_store)
+    assert all(o.ok for o in outcomes)
+    assert second_store.stats.hits == 2
+    assert second_store.stats.misses == 2
+    assert [o.cached for o in outcomes] == [True, True, False, False]

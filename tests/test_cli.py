@@ -131,32 +131,6 @@ def test_sharing_command(capsys):
     assert "invalidations" in out
 
 
-def test_profile_command(tmp_path, capsys):
-    target = tmp_path / "profile.json"
-    code = main(
-        ["profile", "migratory-counters", "--no-check", "--top", "5",
-         "--output", str(target)]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tottime" in out
-    assert "events/s" in out
-    import json
-
-    doc = json.loads(target.read_text())
-    assert doc["schema"] == "repro-profile/1"
-    assert doc["workload"] == "migratory-counters"
-    assert len(doc["hotspots"]) == 5
-    assert doc["events_processed"] > 0
-    # Profiling must not perturb the simulation itself.
-    assert doc["execution_time"] > 0
-    # The artifact is self-describing: it records how to reproduce it.
-    assert doc["seed"] == 42
-    assert doc["check_coherence"] is False
-    assert doc["machine"]["nodes"] == 16
-    assert doc["machine"]["line_size"] == 16
-
-
 def test_run_trace_flag_prints_latency_summary(capsys):
     code = main(["run", "migratory-counters", "--protocol", "AD", "--trace"])
     assert code == 0
@@ -248,26 +222,31 @@ def test_cache_prune_requires_max_bytes():
         main(["cache", "prune"])
 
 
-def test_figure5_checkpoint_and_resume(tmp_path, capsys):
-    checkpoint = tmp_path / "sweep.json"
+def test_figure5_interrupt_exits_130_and_rerun_resumes_from_cache(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.experiments import parallel
+
+    real_execute = parallel.execute_spec
+    calls = []
+
+    def interrupt_third_cell(spec):
+        calls.append(spec)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real_execute(spec)
+
+    monkeypatch.setattr(parallel, "execute_spec", interrupt_third_cell)
+    stats = tmp_path / "stats.json"
     args = ["figure5", "--preset", "tiny", "--no-check",
-            "--checkpoint", str(checkpoint)]
+            "--stats-json", str(stats)]
+    assert main(args) == 130
+    out = capsys.readouterr().out
+    assert "holds 2 cell(s) of this sweep" in out
+    assert "rerun the same command to resume" in out
+
+    # The rerun serves the two finished cells from the cache.
+    monkeypatch.setattr(parallel, "execute_spec", real_execute)
     assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "checkpoint" in out and "'done'" in out
-    doc = json.loads(checkpoint.read_text())
-    assert doc["schema"] == "repro-checkpoint/1"
-    assert all(c["status"] == "done" for c in doc["cells"].values())
-
-    # Relaunching with --resume serves every cell from the warm cache.
-    assert main(args + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "'cached'" in out
-    doc = json.loads(checkpoint.read_text())
-    assert all(c["status"] == "cached" for c in doc["cells"].values())
-
-
-def test_figure5_checkpoint_requires_cache():
-    with pytest.raises(SystemExit, match="result cache"):
-        main(["figure5", "--preset", "tiny", "--no-check", "--no-cache",
-              "--resume"])
+    doc = json.loads(stats.read_text())
+    assert doc["hits"] == 2 and doc["misses"] == 6
