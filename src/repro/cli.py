@@ -7,7 +7,6 @@ Examples::
     repro-sim table1
     repro-sim figure5 --preset tiny --stats-json cache-stats.json
     repro-sim report --preset default --workers 4
-    repro-sim bench --quick
     repro-sim trace mp3d --protocol AD --perfetto trace.json --metrics m.csv
     repro-sim sharing migratory-counters
     repro-sim chaos mp3d --intensities 0,0.5 --preset tiny
@@ -18,8 +17,11 @@ Examples::
 Sweep-shaped commands (run / figure5 / report) consult the persistent
 content-addressed result cache (``.repro-cache`` or ``$REPRO_SIM_CACHE``)
 before simulating; ``--no-cache`` forces recomputation and ``--cache-dir``
-points at an alternate store.  ``repro-sim bench`` never uses the cache —
-it measures the simulator.
+points at an alternate store.
+
+Benchmarking lives outside the CLI: ``perfbench/run.py`` times the
+workloads with repeated samples and checks every result against its
+oracle, and ``tests/perf`` pins the tiny-preset results.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from typing import List, Optional
 
 from repro.consistency.models import model_by_name
 from repro.core.policy import ProtocolPolicy
-from repro.experiments import (
-    compare_protocols,
-    measure_table1,
-    render_table1,
-    run_workload,
-)
+from repro.experiments import compare_protocols, measure_table1, render_table1
 from repro.stats.report import format_table, full_report
 from repro.workloads import PRESETS, WORKLOADS
 
@@ -80,39 +77,27 @@ def _print_cache_summary(store) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cache_note = "disabled"
-    if args.trace:
-        # Tracing wants the live machine (span artifacts are not cached).
-        result = run_workload(
-            args.workload,
-            _policy_by_name(args.protocol),
-            preset=args.preset,
-            consistency=model_by_name(args.consistency),
-            check_coherence=not args.no_check,
-            seed=args.seed,
-            trace=True,
-        )
-    else:
-        from repro.experiments.parallel import RunSpec, execute_spec
+    from repro.experiments.parallel import RunSpec, execute_spec
 
-        spec = RunSpec.make(
-            args.workload,
-            _policy_by_name(args.protocol),
-            preset=args.preset,
-            consistency=model_by_name(args.consistency),
-            check_coherence=not args.no_check,
-            seed=args.seed,
-        )
-        store = _open_store(args)
-        outcome = store.fetch(spec) if store is not None else None
-        if outcome is not None:
-            cache_note = "hit (fingerprint verified)"
-        else:
-            outcome = execute_spec(spec)
-            if store is not None and outcome.ok:
-                store.put(outcome)
-                cache_note = "miss (stored)"
-        result = outcome.unwrap()
+    spec = RunSpec.make(
+        args.workload,
+        _policy_by_name(args.protocol),
+        preset=args.preset,
+        consistency=model_by_name(args.consistency),
+        check_coherence=not args.no_check,
+        seed=args.seed,
+    )
+    store = _open_store(args)
+    outcome = store.fetch(spec) if store is not None else None
+    cache_note = "disabled"
+    if outcome is not None:
+        cache_note = "hit (fingerprint verified)"
+    else:
+        outcome = execute_spec(spec)
+        if store is not None and outcome.ok:
+            store.put(outcome)
+            cache_note = "miss (stored)"
+    result = outcome.unwrap()
     breakdown = result.aggregate_breakdown
     fractions = breakdown.fractions()
     print(f"workload:        {args.workload} (preset {args.preset})")
@@ -138,11 +123,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if result.counter(counter):
             print(f"  {counter:<22}{result.counter(counter)}")
-    if result.latency is not None:
-        from repro.obs import render_latency_summary
-
-        print()
-        print(render_latency_summary(result.latency))
     print(f"result cache:    {cache_note}")
     return 0
 
@@ -242,11 +222,12 @@ def _parse_size(text: str) -> int:
         factor = units[raw[-1]]
         raw = raw[:-1]
     try:
-        return int(float(raw) * factor)
-    except ValueError:
-        raise SystemExit(
-            f"bad size {text!r}: expected e.g. 512, 100K, 64M, 2G"
-        ) from None
+        size = int(float(raw) * factor)
+    except (ValueError, OverflowError):  # not a number, nan, inf, 1e400
+        size = -1
+    if size < 0:
+        raise SystemExit(f"bad size {text!r}: expected e.g. 512, 100K, 64M, 2G")
+    return size
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -420,91 +401,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf bench suite and write a BENCH_<date>.json snapshot."""
-    import os
-
-    from repro.fastpath import fast_path_variant
-
-    variant = fast_path_variant()
-    if args.fast_path == "on" and variant != "compiled":
-        print(
-            f"error: --fast-path on requested but the compiled fast path is "
-            f"not fully active (variant: {variant}).  Build it with "
-            f"REPRO_BUILD_FAST=1 pip install '.[fast]'.",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fast_path == "off" and variant != "pure":
-        # Compiled extensions are already imported in this process, so
-        # forcing the pure path needs a fresh interpreter: re-exec with
-        # REPRO_FORCE_PURE=1 (inherited by any bench worker processes).
-        env = dict(os.environ)
-        env["REPRO_FORCE_PURE"] = "1"
-        os.execve(
-            sys.executable,
-            [sys.executable, "-m", "repro.cli"] + sys.argv[1:],
-            env,
-        )
-    from repro.experiments.bench import (
-        compare_bench_results,
-        diff_bench,
-        host_warnings,
-        load_bench,
-        render_bench,
-        run_bench_suite,
-        timing_regressions,
-        write_bench,
-    )
-
-    # Load the baseline *before* running: the default output path is
-    # BENCH_<today>.json, which can collide with --against on the day a
-    # baseline was captured — writing first would gate new-vs-new.
-    baseline = load_bench(args.against) if args.against else None
-    doc = run_bench_suite(
-        preset="tiny" if args.quick else args.preset, workers=args.workers
-    )
-    print(render_bench(doc))
-    target = write_bench(doc, path=args.output)
-    print(f"\nwrote {target}")
-    # None = serial-only snapshot (1-CPU host skipped the parallel pass);
-    # only an actual divergence fails the gate.
-    ok = doc["parallel_matches_serial"] is not False
-    if baseline is not None:
-        print()
-        print(diff_bench(baseline, doc))
-        # Snapshots from a different host are still gate-worthy on
-        # *results* (they're host-independent), but their timings are
-        # apples-to-oranges — warn instead of silently diffing them.
-        for warning in host_warnings(baseline, doc):
-            print(f"  host mismatch: {warning}")
-        # Soft gate: timing deltas above only inform; *simulation results*
-        # (execution times, event counts, counters) must match exactly.
-        mismatches = compare_bench_results(baseline, doc)
-        if mismatches:
-            ok = False
-            print(f"\nRESULT MISMATCH vs {args.against}:")
-            for line in mismatches:
-                print(f"  {line}")
-        else:
-            print(f"\nsimulation results identical to {args.against}")
-        # Optional hard gate on wall-time drift (off by default: timing
-        # is host-dependent, so the diff above only informs unless the
-        # caller names a threshold).
-        if args.tolerance is not None:
-            slow = timing_regressions(baseline, doc, args.tolerance)
-            if slow:
-                ok = False
-                print(f"\nTIMING REGRESSION vs {args.against} "
-                      f"(tolerance {args.tolerance:.0%}):")
-                for line in slow:
-                    print(f"  {line}")
-            else:
-                print(f"wall times within {args.tolerance:.0%} of "
-                      f"{args.against}")
-    return 0 if ok else 1
-
-
 def _cmd_bus(args: argparse.Namespace) -> int:
     """Run a workload on the bus-based snoopy machine (Section 6)."""
     from repro.snoopy import SnoopyConfig, SnoopyMachine
@@ -602,9 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload seed (part of the cache key)")
     run_p.add_argument("--no-check", action="store_true",
                        help="disable coherence invariant checking")
-    run_p.add_argument("--trace", action="store_true",
-                       help="trace every miss and print the latency "
-                            "attribution summary (bypasses the cache)")
     _add_cache_args(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -714,36 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes per experiment sweep (default 1)")
     _add_cache_args(rep_p)
     rep_p.set_defaults(func=_cmd_report)
-
-    bench_p = sub.add_parser(
-        "bench", help="run the perf suite and write a BENCH_<date>.json snapshot"
-    )
-    bench_p.add_argument("--preset", default="default")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="tiny preset (CI smoke; ~seconds)")
-    bench_p.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the parallel pass "
-                              "(default: all cores; if that resolves to 1 "
-                              "the parallel pass is skipped and a serial-"
-                              "only snapshot is recorded)")
-    bench_p.add_argument("--output", default=None,
-                         help="snapshot path (default BENCH_<date>.json)")
-    bench_p.add_argument("--against", default=None, metavar="BENCH_JSON",
-                         help="print a regression diff against an older snapshot")
-    bench_p.add_argument("--tolerance", type=float, default=None,
-                         metavar="FRACTION",
-                         help="with --against: fail if any run's wall time "
-                              "regressed by more than this fraction "
-                              "(e.g. 0.25 = 25%%; default: timing drift "
-                              "only informs, never fails)")
-    bench_p.add_argument("--fast-path", default="auto",
-                         choices=("on", "off", "auto"),
-                         help="compiled fast path: 'on' errors unless the "
-                              "mypyc build is active, 'off' forces the "
-                              "pure-Python reference (re-execs with "
-                              "REPRO_FORCE_PURE=1 if needed), 'auto' "
-                              "(default) uses whatever is installed")
-    bench_p.set_defaults(func=_cmd_bench)
 
     chaos_p = sub.add_parser(
         "chaos",

@@ -11,13 +11,6 @@ from repro.experiments.prefetch import (
     render_prefetch,
     run_prefetch_comparison,
 )
-from repro.experiments.bench import (
-    BENCH_SCHEMA,
-    diff_bench,
-    render_bench,
-    run_bench_suite,
-    write_bench,
-)
 from repro.experiments.chaos import (
     ChaosCell,
     ChaosReport,
@@ -48,7 +41,6 @@ from repro.experiments.table3 import PAPER_TABLE3, render_table3, run_table3
 from repro.experiments.table4 import PAPER_TABLE4, render_table4, run_table4
 
 __all__ = [
-    "BENCH_SCHEMA",
     "ChaosCell",
     "ChaosReport",
     "run_chaos",
@@ -67,13 +59,9 @@ __all__ = [
     "compare_many",
     "compare_protocols",
     "default_workers",
-    "diff_bench",
     "measure_table1",
-    "render_bench",
-    "run_bench_suite",
     "run_many",
     "run_pairs",
-    "write_bench",
     "render_figure5",
     "render_figure6",
     "render_section54",

@@ -42,20 +42,13 @@ def run_workload(
     config: Optional[MachineConfig] = None,
     check_coherence: bool = True,
     seed: int = 42,
-    trace: bool = False,
     **workload_overrides,
 ) -> RunResult:
-    """Run one workload under one protocol; returns the RunResult.
-
-    ``trace=True`` attaches a transaction tracer; the result then carries
-    a miss-latency attribution summary in ``result.latency``.
-    """
+    """Run one workload under one protocol; returns the RunResult."""
     base = config or MachineConfig.dash_default()
     cfg = base.with_(
         policy=policy, consistency=consistency, check_coherence=check_coherence
     )
-    if trace:
-        cfg = cfg.with_(trace=True)
     machine = Machine(cfg)
     wl = make_workload(
         workload, cfg.num_nodes, preset, seed=seed, **workload_overrides

@@ -8,11 +8,12 @@ normal import already picks the fast variant.  This module adds the two
 pieces the build can't provide:
 
 * ``REPRO_FORCE_PURE=1`` — load the pure-Python source even when a
-  compiled extension exists (used by the bench fast-path gate and CI to
-  verify both variants are byte-identical);
+  compiled extension exists (CI runs the tier-1 suite, goldens included,
+  with it on a compiled install, so both variants are checked against
+  the same numbers);
 * detection of which variant actually loaded, surfaced as the
   ``FAST_PATH_COMPILED`` flag on each loader module and summarized by
-  :func:`fast_path_variant` for bench snapshots.
+  :func:`fast_path_variant` for perfbench result records.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def load_impl(module_name: str) -> Tuple[ModuleType, bool]:
 def fast_path_variant() -> str:
     """The active fast-path variant: ``"compiled"``, ``"pure"`` or ``"mixed"``.
 
-    Recorded in bench snapshots so cross-version diffs are attributable.
+    Recorded in perfbench result records so timing deltas across
+    versions are attributable.
     """
     from repro.coherence import messages
     from repro.sim import engine

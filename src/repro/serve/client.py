@@ -5,7 +5,7 @@ network — can submit sweep batches and read results without installing
 anything:
 
     client = ServeClient("http://127.0.0.1:8787")
-    job = client.submit_specs(figure5_suite("tiny"))
+    job = client.submit_specs(comparison_specs("mp3d", preset="tiny"))
     status = client.wait(job["job"])
     entry = client.result(status["cells"][0]["key"])
 

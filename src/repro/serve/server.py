@@ -287,14 +287,18 @@ class ExperimentServer:
         """Register a batch; returns the job with one cell per spec."""
         if not isinstance(spec_docs, list) or not spec_docs:
             raise BadRequest('body must be {"specs": [<spec>, ...]}')
+        # Parse the whole batch before touching any state, so a rejected
+        # batch registers no cell, spawns no simulation and counts no job.
+        specs = []
+        for doc in spec_docs:
+            try:
+                specs.append(spec_from_json(doc))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BadRequest(f"bad spec {doc!r}: {exc}") from None
         self._job_counter += 1
         job = Job(id=f"job-{self._job_counter}", cid=str(cid or ""))
         self._m_jobs_submitted.inc()
-        for doc in spec_docs:
-            try:
-                spec = spec_from_json(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadRequest(f"bad spec {doc!r}: {exc}") from None
+        for spec in specs:
             self._m_specs_submitted.inc()
             key = spec_key(spec)
             cell = self.cells.get(key)
@@ -550,6 +554,8 @@ class ExperimentServer:
                 doc = json.loads(body or b"{}")
             except ValueError:
                 raise BadRequest("body is not valid JSON") from None
+            if not isinstance(doc, dict):
+                raise BadRequest('body must be {"specs": [<spec>, ...]}')
             job = self.submit(doc.get("specs"), cid=doc.get("cid") or "")
             await _respond_json(writer, 200, self.job_status(job))
         elif method in ("GET", "DELETE") and len(parts) == 2 and parts[0] == "jobs":
@@ -593,10 +599,19 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise BadRequest(f"bad Content-Length {raw_length!r}")
     if length > MAX_BODY_BYTES:
         raise BadRequest(f"body too large ({length} bytes)")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise BadRequest("body shorter than Content-Length") from None
     return method.upper(), path, body
 
 

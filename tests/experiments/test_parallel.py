@@ -1,4 +1,4 @@
-"""Parallel experiment runner: determinism, error capture, bench harness.
+"""Parallel experiment runner: determinism, error capture, pool reuse.
 
 The core guarantee under test: for a fixed (workload, seed, config), a
 run produces identical observables every time — serially, repeated in
@@ -12,15 +12,6 @@ import math
 import pytest
 
 from repro.core.policy import ProtocolPolicy
-from repro.experiments.bench import (
-    BENCH_SCHEMA,
-    diff_bench,
-    figure5_suite,
-    load_bench,
-    render_bench,
-    run_bench_suite,
-    write_bench,
-)
 import repro.experiments.parallel as parallel
 from repro.experiments.parallel import (
     RunSpec,
@@ -168,46 +159,6 @@ def test_execution_time_ratio_nan_for_empty_runs():
         workload="x", wi=_empty_result(150), ad=_empty_result(100)
     )
     assert real.execution_time_ratio == pytest.approx(1.5)
-
-
-def test_bench_suite_snapshot_and_diff(tmp_path):
-    doc = run_bench_suite(preset="tiny", workers=2)
-    assert doc["schema"] == BENCH_SCHEMA
-    assert doc["parallel_matches_serial"] is True
-    assert doc["speedup"] is not None and doc["speedup"] > 0
-    assert len(doc["runs"]) == len(figure5_suite("tiny")) == 8
-    for run in doc["runs"]:
-        assert run["events_processed"] > 0
-        assert run["execution_time"] > 0
-        assert run["counters"]
-
-    target = write_bench(doc, tmp_path / "BENCH_test.json")
-    loaded = load_bench(target)
-    assert loaded == json.loads(json.dumps(doc))  # round-trips as JSON
-
-    text = render_bench(doc)
-    assert "speedup" in text and "mp3d/AD" in text
-    diff = diff_bench(loaded, doc)
-    assert "total serial wall" in diff
-
-
-def test_load_bench_rejects_unknown_schema(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"schema": "other/9"}))
-    with pytest.raises(ValueError, match="schema"):
-        load_bench(bogus)
-
-
-def test_bench_serial_only_snapshot_on_single_worker():
-    """workers=1 (what a 1-CPU host resolves to) skips the parallel pass
-    and records an honest serial-only snapshot instead of pool noise."""
-    doc = run_bench_suite(workers=1, specs=tiny_specs()[:2])
-    assert doc["workers"] == 1
-    assert doc["parallel_wall_time_s"] is None
-    assert doc["speedup"] is None
-    assert doc["parallel_matches_serial"] is None
-    assert "parallel_skipped" in doc
-    assert "skipped" in render_bench(doc)
 
 
 def test_freeze_value_round_trips_and_ignores_insertion_order():

@@ -9,13 +9,19 @@ job status polling, and result fingerprints matching a local run.
 
 import asyncio
 import contextlib
+import socket
 import threading
 
 import pytest
 
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, execute_spec, result_fingerprint
-from repro.experiments.store import CODE_VERSION_ENV, ResultStore, spec_key
+from repro.experiments.store import (
+    CODE_VERSION_ENV,
+    ResultStore,
+    spec_key,
+    spec_to_json,
+)
 from repro.serve import ExperimentServer, ServeClient
 from repro.serve.client import ServeError
 
@@ -166,6 +172,42 @@ def test_serve_rejects_bad_requests(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.result("0" * 64)
     assert excinfo.value.status == 404
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\n[1,2]",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+], ids=["length-not-a-number", "length-negative", "body-not-an-object",
+        "body-shorter-than-length"])
+def test_serve_answers_malformed_http_with_400(server, client, request_bytes):
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        status_line = sock.makefile("rb").readline()
+    assert status_line.startswith(b"HTTP/1.1 400 ")
+    assert client.healthz()["ok"]
+
+
+def test_serve_rejected_batch_leaves_no_trace(server, client):
+    """A batch with one bad spec registers nothing, not even its good cells."""
+    def jobs_submitted():
+        return [line for line in client.metrics().splitlines()
+                if line.startswith("repro_serve_jobs_submitted_total")]
+
+    stats_before, jobs_before = client.stats(), jobs_submitted()
+    with pytest.raises(ServeError) as excinfo:
+        client.submit([spec_to_json(tiny_specs()[0]), {"bogus": 1}])
+    assert excinfo.value.status == 400
+    assert server.cells == {}
+    assert server.jobs == {}
+    assert client.stats() == stats_before
+    assert jobs_submitted() == jobs_before
+    # The next accepted batch is the daemon's first job.
+    job = client.submit_specs(tiny_specs()[:1])
+    assert job["job"] == "job-1"
+    assert client.wait(job["job"], timeout=120)["complete"]
 
 
 # ---------------------------------------------------------------------------

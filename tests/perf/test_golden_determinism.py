@@ -1,15 +1,22 @@
 """Golden-run determinism: results must be bit-identical across versions.
 
-``golden_tiny.json`` records every deterministic observable (execution
-time, event count, traffic, all protocol counters, per-kind message
-counts) of the MP3D and Cholesky tiny runs under the full protocol
-family.  The W-I and AD entries were captured before the event-core
-overhaul and have survived it and the protocol-framework refactor
-unchanged; the MESI/Dragon/Hybrid entries pin the new protocols from
-their first release.  Any optimization of the simulator's hot paths —
-queue layout, message pooling, counter storage — must reproduce these
-numbers exactly; a mismatch means simulated *behaviour* changed, not
-just speed.
+``golden_tiny.json`` is the repo's one record of tiny-preset results.
+It holds every deterministic observable (execution time, event count,
+traffic, all protocol counters, per-kind message counts) of the MP3D and
+Cholesky tiny runs under the full protocol family, and the execution
+time, event count, traffic and counters of the Water and LU runs under
+W-I and AD, so all eight Figure-5 cells are pinned.  The W-I and AD
+entries were captured before the event-core overhaul and have survived
+it and the protocol-framework refactor unchanged; the MESI/Dragon/Hybrid
+entries pin the new protocols from their first release.  Any
+optimization of the simulator's hot paths — queue layout, message
+pooling, counter storage — must reproduce these numbers exactly; a
+mismatch means simulated *behaviour* changed, not just speed.  Each
+entry is checked only on the keys it holds.
+
+The suite is variant-agnostic: run it on a compiled install and again
+with ``REPRO_FORCE_PURE=1`` to gate both fast-path variants against the
+same numbers.
 
 Refreshing the goldens is a deliberate act (a protocol or timing-model
 change): regenerate each entry with the spec below and explain the delta
