@@ -6,7 +6,7 @@ extra: ``pip install 'repro[fast]'``) to additionally compile the two
 hot-core implementation modules:
 
 * ``repro.sim._engine_impl`` — the event loop;
-* ``repro.coherence._messages_impl`` — the message vocabulary and pool.
+* ``repro.coherence._messages_impl`` — the message vocabulary.
 
 Their loader modules (``repro.sim.engine`` / ``repro.coherence.messages``)
 pick up the compiled extensions automatically at import time and fall back

@@ -69,6 +69,11 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_SIM_CACHE)")
 
 
+def _add_preset_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--preset", default=default,
+                        choices=("tiny", "default", "paper"))
+
+
 def _print_cache_summary(store) -> None:
     stats = store.stats
     print(f"result cache: {stats.hits} hits / {stats.misses} misses "
@@ -211,6 +216,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (KeyboardInterrupt, asyncio.CancelledError):  # Ctrl-C or SIGTERM
         print("\nshutting down")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _parse_size(text: str) -> int:
@@ -493,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("workload", choices=sorted(WORKLOADS))
     run_p.add_argument("--protocol", default="AD")
     run_p.add_argument("--consistency", default="SC")
-    run_p.add_argument("--preset", default="default")
+    _add_preset_arg(run_p, "default")
     run_p.add_argument("--seed", type=int, default=42,
                        help="workload seed (part of the cache key)")
     run_p.add_argument("--no-check", action="store_true",
@@ -505,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure5",
         help="run the Figure 5 sweep through the result cache",
     )
-    fig5_p.add_argument("--preset", default="default")
+    _add_preset_arg(fig5_p, "default")
     fig5_p.add_argument("--no-check", action="store_true")
     fig5_p.add_argument("--workers", type=int, default=1,
                         help="worker processes for cold cells (default 1)")
@@ -535,11 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("workload", choices=sorted(WORKLOADS))
     trace_p.add_argument("--protocol", default="AD")
     trace_p.add_argument("--consistency", default="SC")
-    trace_p.add_argument("--preset", default="tiny")
+    _add_preset_arg(trace_p, "tiny")
     trace_p.add_argument("--seed", type=int, default=42)
     trace_p.add_argument("--no-check", action="store_true")
     trace_p.add_argument("--max-spans", type=int, default=200_000,
-                         help="retained-span budget (beyond it spans feed "
+                         help="kept-span budget (beyond it spans feed "
                               "the aggregates but drop their detail)")
     trace_p.add_argument("--perfetto", default=None, metavar="TRACE_JSON",
                          help="write a Chrome trace_events file "
@@ -548,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the raw spans + summary as JSON")
     trace_p.add_argument("--metrics", default=None, metavar="METRICS_FILE",
                          help="write the metric samples (.json, else CSV)")
-    trace_p.add_argument("--metrics-interval", type=int, default=500,
+    trace_p.add_argument("--metrics-interval", type=_positive_int, default=500,
                          help="sampling period in pclocks (default 500; "
                               "sampling runs only when --metrics or "
                               "--perfetto is given)")
@@ -559,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_p.add_argument("workload", choices=sorted(WORKLOADS))
     cmp_p.add_argument("--consistency", default="SC")
-    cmp_p.add_argument("--preset", default="default")
+    _add_preset_arg(cmp_p, "default")
     cmp_p.add_argument("--no-check", action="store_true")
     cmp_p.add_argument("--protocols", default=None, metavar="P1,P2,...",
                        help="comma-separated protocols to compare (default "
@@ -578,14 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     sharing_p.add_argument("workload", choices=sorted(WORKLOADS))
     sharing_p.add_argument("--protocol", default="W-I")
     sharing_p.add_argument("--consistency", default="SC")
-    sharing_p.add_argument("--preset", default="default")
+    _add_preset_arg(sharing_p, "default")
     sharing_p.add_argument("--no-check", action="store_true")
     sharing_p.set_defaults(func=_cmd_sharing)
 
     verify_p = sub.add_parser("verify", help="exhaustively model-check the protocol")
     verify_p.add_argument("--protocol", default="AD")
-    verify_p.add_argument("--caches", type=int, default=2)
-    verify_p.add_argument("--ops", type=int, default=2)
+    verify_p.add_argument("--caches", type=_positive_int, default=2)
+    verify_p.add_argument("--ops", type=_positive_int, default=2)
     verify_p.set_defaults(func=_cmd_verify)
 
     bus_p = sub.add_parser("bus", help="run on the bus-based snoopy machine")
@@ -595,13 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     bus_p.add_argument("--base", default="invalidate",
                        choices=("invalidate", "update"),
                        help="base snoopy protocol")
-    bus_p.add_argument("--processors", type=int, default=8)
-    bus_p.add_argument("--preset", default="tiny")
+    bus_p.add_argument("--processors", type=_positive_int, default=8)
+    _add_preset_arg(bus_p, "tiny")
     bus_p.add_argument("--no-check", action="store_true")
     bus_p.set_defaults(func=_cmd_bus)
 
     rep_p = sub.add_parser("report", help="reproduce every table and figure")
-    rep_p.add_argument("--preset", default="default")
+    _add_preset_arg(rep_p, "default")
     rep_p.add_argument("--no-check", action="store_true")
     rep_p.add_argument("--workers", type=int, default=1,
                        help="worker processes per experiment sweep (default 1)")
@@ -619,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--intensities", default="0,0.25,0.5,1.0",
                          help="comma-separated fault intensities (include 0 "
                               "for baseline deltas)")
-    chaos_p.add_argument("--preset", default="tiny")
+    _add_preset_arg(chaos_p, "tiny")
     chaos_p.add_argument("--seed", type=int, default=42,
                          help="fault-plan seed; same (seed, intensity) "
                               "replays the same perturbation")

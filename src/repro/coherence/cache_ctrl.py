@@ -548,12 +548,7 @@ class CacheController:
             else:
                 self.write(block * line_bytes, callback)
         for fwd in deferred:
-            # The MSHR owned this forward; handling may re-defer it onto a
-            # new MSHR (re-retaining it), otherwise recycle it.
-            fwd.retained = False
             self.handle(fwd)
-            if not fwd.retained:
-                fwd.release()
 
     # ------------------------------------------------------------------
     # External requests
@@ -616,7 +611,6 @@ class CacheController:
             return
         mshr = self.mshrs.get(block)
         if mshr is not None:
-            msg.retained = True
             mshr.deferred.append(msg)
             return
         index = cache.find(block)
@@ -695,7 +689,6 @@ class CacheController:
             return
         mshr = self.mshrs.get(block)
         if mshr is not None:
-            msg.retained = True
             mshr.deferred.append(msg)
             return
         index = cache.find(block)

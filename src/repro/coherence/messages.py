@@ -1,11 +1,11 @@
 """Stable import surface for the coherence message vocabulary.
 
 The implementation lives in :mod:`repro.coherence._messages_impl` (see
-that module's docstring for message semantics, sizes, pooling, and the
-pool-debug mode).  Like :mod:`repro.sim.engine`, it may be compiled with
-mypyc (the ``fast`` extra); this loader picks whichever variant is
-installed and honors ``REPRO_FORCE_PURE=1``.  ``FAST_PATH_COMPILED``
-reports which variant actually loaded.
+that module's docstring for message semantics and sizes).  Like
+:mod:`repro.sim.engine`, it may be compiled with mypyc (the ``fast``
+extra); this loader picks whichever variant is installed and honors
+``REPRO_FORCE_PURE=1``.  ``FAST_PATH_COMPILED`` reports which variant
+actually loaded.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ NUM_KINDS = _impl.NUM_KINDS
 KINDS_BY_INDEX = _impl.KINDS_BY_INDEX
 message_bits = _impl.message_bits
 CoherenceMessage = _impl.CoherenceMessage
-PoolLeakError = _impl.PoolLeakError
-POOL_DEBUG = _impl.POOL_DEBUG
-pool_stats = _impl.pool_stats
-pool_outstanding = _impl.pool_outstanding
-pool_check = _impl.pool_check
 
 __all__ = [
     "CoherenceMessage",
@@ -40,15 +35,10 @@ __all__ = [
     "KINDS_BY_INDEX",
     "MsgKind",
     "NUM_KINDS",
-    "POOL_DEBUG",
-    "PoolLeakError",
     "REPLY_NET",
     "REPLY_NET_IDX",
     "REPLY_NET_KINDS",
     "REQUEST_NET",
     "REQUEST_NET_IDX",
     "message_bits",
-    "pool_check",
-    "pool_outstanding",
-    "pool_stats",
 ]

@@ -18,9 +18,9 @@ event, and :meth:`Transport.introspect` reads the census from there.
 
 Hot-path layout: handlers live in node-indexed lists (``handlers[dst]``
 is a list index, not a dict hash), the mesh for a message is picked by
-``kind.net_idx`` from a two-slot tuple (bypassing the fabric's
-name-string dispatch), and every deferred hop is scheduled as
-``schedule_at(t, method, msg)`` so no closure is allocated per message.
+``kind.net_idx`` from a two-slot tuple, and every deferred hop is
+scheduled as ``schedule_at(t, method, msg)`` so no closure is allocated
+per message.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ class Transport:
     ) -> None:
         self.sim = sim
         self.fabric = fabric
-        #: Meshes indexed by ``MsgKind.net_idx`` (0 = request, 1 = reply);
-        #: the send path picks one with a tuple index instead of routing
-        #: through ``Fabric.send``'s name-string dispatch.
+        #: Meshes indexed by ``MsgKind.net_idx`` (0 = request, 1 = reply).
         self._meshes = (fabric.request_mesh, fabric.reply_mesh)
         self.buses = buses
         #: Payload size of data-carrying messages (one cache line).  The
@@ -88,8 +86,6 @@ class Transport:
         self._faults = faults
         if faults is not None:
             faults.bind_transport(self)
-        for node in range(fabric.num_nodes):
-            fabric.register(node, self._deliver)
 
     # ------------------------------------------------------------------
     # Registration
@@ -166,7 +162,6 @@ class Transport:
     def _dispatch(self, msg: CoherenceMessage) -> None:
         tracer = self.tracer
         if tracer is not None and msg.trace:
-            # Before the handler: it may consume and recycle the message.
             tracer.on_dispatch(msg, self.sim.now)
         handlers = (
             self._directory_handlers if msg.kind.to_directory else self._cache_handlers
@@ -178,11 +173,6 @@ class Transport:
                 f"for node {msg.dst}"
             )
         handler(msg)
-        # Pooling: a handler that stores the message past this dispatch
-        # (directory pending/inflight, MSHR deferred) marks it retained;
-        # everything else is consumed and recycled here.
-        if not msg.retained:
-            msg.release()
 
     # ------------------------------------------------------------------
     # Statistics

@@ -53,6 +53,19 @@ class ProtocolPolicy:
     #: before the line falls back to invalidation.
     update_threshold: int = DEFAULT_UPDATE_THRESHOLD
 
+    def __post_init__(self) -> None:
+        # A policy must run (and be cached as) exactly what it says.
+        if self.protocol and self.adaptive != (self.protocol == "ad"):
+            raise ValueError(f"protocol={self.protocol!r} contradicts "
+                             f"adaptive={self.adaptive}")
+        if not self.adaptive and (self.rxq_reverts_to_ordinary
+                                  or not self.nomig_enabled):
+            raise ValueError("rxq_reverts_to_ordinary/nomig_enabled are "
+                             "AD-only: set adaptive=True")
+        if self.update_threshold < 0:
+            raise ValueError(f"update_threshold must be >= 0, "
+                             f"got {self.update_threshold}")
+
     @staticmethod
     def write_invalidate() -> "ProtocolPolicy":
         """The paper's baseline ("W-I")."""

@@ -80,7 +80,7 @@ class MachineConfig:
     #: Sample machine metrics (queue depths, occupancy) every this many
     #: pclocks into ``machine.metrics.ring`` (None = no sampling).
     metrics_interval: Optional[int] = None
-    #: Ring-buffer bound on retained metric samples.
+    #: Ring-buffer bound on kept metric samples.
     metrics_capacity: int = 4096
 
     @property

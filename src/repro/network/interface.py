@@ -1,21 +1,15 @@
-"""Network fabric: the pair of meshes plus per-node delivery dispatch.
+"""Network fabric: the pair of meshes.
 
 The DASH interconnect is two independent meshes — one carrying requests,
 one carrying replies — to break request/reply protocol deadlock.  The
-:class:`Fabric` owns both, assigns every message to the right mesh, and
-dispatches deliveries to the handler registered by each node's controller
-(the role played by DASH's network interface / remote-access cache).
+:class:`Fabric` owns both and aggregates their statistics; senders pick a
+mesh and pass their own delivery callback to :meth:`Mesh.send`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
 from repro.network.mesh import Mesh
-from repro.network.message import NetworkMessage
-from repro.sim.engine import SimulationError, Simulator
-
-Handler = Callable[[NetworkMessage], None]
+from repro.sim.engine import Simulator
 
 REQUEST = "request"
 REPLY = "reply"
@@ -57,26 +51,6 @@ class Fabric:
             name="reply-mesh",
         )
         self.num_nodes = self.request_mesh.num_nodes
-        self._handlers: Dict[int, Handler] = {}
-
-    def register(self, node: int, handler: Handler) -> None:
-        """Register the message handler for ``node`` (one per node)."""
-        if node in self._handlers:
-            raise SimulationError(f"node {node} already has a handler")
-        self._handlers[node] = handler
-
-    def send(self, message: NetworkMessage, network: str = REQUEST) -> None:
-        """Send ``message`` on the named mesh and deliver to its node handler."""
-        if network == REQUEST:
-            mesh = self.request_mesh
-        elif network == REPLY:
-            mesh = self.reply_mesh
-        else:
-            raise ValueError(f"unknown network {network!r}")
-        handler = self._handlers.get(message.dst)
-        if handler is None:
-            raise SimulationError(f"no handler registered for node {message.dst}")
-        mesh.send(message, handler)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -234,9 +234,7 @@ class Mesh:
         sim.schedule_at(arrival, self._complete, message, deliver)
 
     def _complete(self, message: NetworkMessage, deliver: DeliveryCallback) -> None:
-        now = self.sim.now
-        message.delivered_at = now
-        self.total_latency += now - message.sent_at
+        self.total_latency += self.sim.now - message.sent_at
         deliver(message)
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ class NetworkMessage:
     for traffic statistics and for link occupancy (flit count).
     """
 
-    __slots__ = ("src", "dst", "bits", "uid", "sent_at", "delivered_at")
+    __slots__ = ("src", "dst", "bits", "uid", "sent_at")
 
     def __init__(
         self,
@@ -44,16 +44,14 @@ class NetworkMessage:
         bits: int = HEADER_BITS,
         uid: Optional[int] = None,
         sent_at: Optional[int] = None,
-        delivered_at: Optional[int] = None,
     ) -> None:
         self.src = src
         self.dst = dst
         self.bits = bits
         #: Monotone id used only for deterministic tie-breaking and debugging.
         self.uid = next(_msg_ids) if uid is None else uid
-        #: Filled in by the mesh on delivery (for latency statistics).
+        #: Set by the mesh at injection (for latency statistics).
         self.sent_at = sent_at
-        self.delivered_at = delivered_at
 
     def flits(self, link_bits: int) -> int:
         """Number of flits on a ``link_bits``-wide link (header-rounded)."""

@@ -66,7 +66,7 @@ class MetricsRing:
 
     @property
     def rows(self) -> List[tuple]:
-        """The retained samples, oldest first."""
+        """The samples the ring holds, oldest first."""
         return list(self._rows)
 
     @property

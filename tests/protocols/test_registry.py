@@ -55,6 +55,22 @@ def test_policy_for_ad_ablations():
     assert behavior_for(rxq).name == behavior_for(nonomig).name == "ad"
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"protocol": "ad"},
+        {"protocol": "mesi", "adaptive": True},
+        {"protocol": "wi", "adaptive": True},
+        {"rxq_reverts_to_ordinary": True},
+        {"protocol": "dragon", "nomig_enabled": False},
+        {"protocol": "hybrid", "update_threshold": -1},
+    ],
+)
+def test_contradictory_policy_is_rejected(fields):
+    with pytest.raises(ValueError):
+        ProtocolPolicy(**fields)
+
+
 def test_display_names_match_policy_names():
     for policy in default_policies():
         assert behavior_for(policy).display_name == policy.name

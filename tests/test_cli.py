@@ -111,6 +111,24 @@ def test_verify_command(capsys):
     assert "invariants held" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "mp3d", "--metrics-interval", "0", "--metrics", "x.csv"],
+        ["verify", "--caches", "0"],
+        ["verify", "--ops", "-1"],
+        ["bus", "mp3d", "--processors", "0"],
+        ["run", "mp3d", "--preset", "defualt"],
+    ],
+)
+def test_bad_argument_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_sharing_command(capsys):
     assert main(["sharing", "migratory-counters", "--no-check"]) == 0
     out = capsys.readouterr().out

@@ -47,6 +47,13 @@ def test_make_workload_unknown_name():
         make_workload("nope", 16)
 
 
+def test_make_workload_unknown_preset():
+    with pytest.raises(ValueError, match="unknown preset 'defualt'"):
+        make_workload("mp3d", 16, "defualt")
+    # Micro workloads have no preset table and still ignore the name.
+    assert make_workload("migratory-counters", 16, "defualt") is not None
+
+
 def test_programs_are_deterministic():
     a = drain(make_workload("mp3d", 8, "tiny", seed=5))
     b = drain(make_workload("mp3d", 8, "tiny", seed=5))
