@@ -392,11 +392,17 @@ def _cmd_sharing(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Exhaustively model-check the protocol."""
-    from repro.verify import ProtocolModel, explore
+    from repro.verify import ProtocolModel, StateLimitExceeded, explore
 
     policy = _policy_by_name(args.protocol)
     model = ProtocolModel(num_caches=args.caches, ops=args.ops, policy=policy)
-    result = explore(model)
+    try:
+        result = explore(model)
+    except StateLimitExceeded as exc:
+        print(f"protocol {policy.name}, {args.caches} caches x {args.ops} ops: "
+              f"gave up at the {exc.max_states}-state cap, no verdict",
+              file=sys.stderr)
+        return 1
     print(f"protocol {policy.name}: {result.summary()}")
     print("all invariants held in every reachable state")
     return 0

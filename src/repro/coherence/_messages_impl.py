@@ -40,13 +40,12 @@ dispatch is index arithmetic, not dict lookups.
 :class:`CoherenceMessage` is a standalone ``__slots__`` class (it does not
 inherit :class:`~repro.network.message.NetworkMessage`, whose ``__init__``
 chain would cost a second Python call per message) with the attributes the
-mesh reads (``src``, ``dst``, ``bits``, ``sent_at``).
+mesh reads (``src``, ``dst``, ``bits``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.network.message import DATA_BITS, HEADER_BITS
 
@@ -183,7 +182,6 @@ class CoherenceMessage:
         "src",
         "dst",
         "bits",
-        "sent_at",
         # Protocol payload.
         "kind",
         "block",
@@ -224,8 +222,6 @@ class CoherenceMessage:
         self.src = src
         self.dst = dst
         self.bits = kind.bits
-        #: Set by the mesh at injection (for latency statistics).
-        self.sent_at: Optional[int] = None
         self.kind = kind
         self.block = block
         self.requester = requester

@@ -217,8 +217,8 @@ class Transport:
 
         A message is in flight from :meth:`send` until its dispatch, and
         all that time it is an argument of a pending engine event
-        (``_dispatch``, ``_inject``, the mesh's ``_complete`` or the fault
-        plan's ``_flush``/``_send_now``).  Queued ``send`` calls (service
+        (``_dispatch``, ``_inject``, the ``_deliver`` the mesh schedules
+        for its arrival, or the fault plan's ``_flush``/``_send_now``).  Queued ``send`` calls (service
         delays) have not been injected yet and are skipped; so is a
         ``_flush`` whose message the plan already released.  ``due_at``
         is when the message's next event fires.

@@ -197,7 +197,6 @@ class Mesh:
         """
         sim = self.sim
         now = sim.now
-        message.sent_at = now
         bits = message.bits
         flits = -(-bits // self.link_bits)  # ceil division
         self.messages_sent += 1
@@ -229,13 +228,12 @@ class Mesh:
             self.flit_hops += flits * len(chain)
             arrival = head + flits + interface_delay
 
-        # Latency bookkeeping happens at delivery time (not precomputed
-        # here) so reset_stats() mid-flight keeps mean_latency honest.
-        sim.schedule_at(arrival, self._complete, message, deliver)
-
-    def _complete(self, message: NetworkMessage, deliver: DeliveryCallback) -> None:
-        self.total_latency += self.sim.now - message.sent_at
-        deliver(message)
+        # Latency is known at injection, so it is counted here together
+        # with messages_sent: a reset_stats() while the message is in
+        # flight drops both, and mean_latency stays a mean over the
+        # messages it counts.
+        self.total_latency += arrival - now
+        sim.schedule_at(arrival, deliver, message)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -2,6 +2,7 @@
 
 from repro.verify.checker import (
     ExplorationResult,
+    StateLimitExceeded,
     StuckStateError,
     explore,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "ProtocolModel",
     "ProtocolViolation",
     "State",
+    "StateLimitExceeded",
     "StuckStateError",
     "explore",
 ]

@@ -13,8 +13,8 @@ Breadth-first search over every reachable state of
   flight);
 * **no stuck states** — every non-final state has at least one enabled
   transition, and every final (quiescent) state is *clean*: channels
-  empty, no MSHRs, home not busy, and the latest version resides where
-  the directory says it should.
+  empty, no MSHRs, home not busy, the latest version resides where the
+  directory says it should, and every Shared copy holds it.
 
 Exploration is exhaustive for the bounded model (N caches, K ops each),
 which covers every message interleaving the channel semantics allow —
@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.verify.model import (
     D,
     DR,
-    HOME,
-    I,
     M,
     MD,
     MU,
@@ -66,6 +64,18 @@ class StuckStateError(ProtocolViolation):
     """A non-quiescent state has no enabled transitions (deadlock)."""
 
 
+class StateLimitExceeded(Exception):
+    """The search reached ``max_states`` before it finished.
+
+    Not a :class:`ProtocolViolation`: it says the bounded model is larger
+    than the cap, not that the protocol is wrong, and it gives no verdict.
+    """
+
+    def __init__(self, max_states: int) -> None:
+        super().__init__(f"state space exceeded {max_states} states")
+        self.max_states = max_states
+
+
 def _check_state(state: State) -> None:
     owners = [n for n, c in enumerate(state.caches) if c.line in (D, M)]
     if len(owners) > 1:
@@ -93,20 +103,21 @@ def _is_quiescent(state: State) -> bool:
 
 def _check_quiescent(state: State) -> None:
     """A drained machine must store the latest version where the
-    directory claims it lives."""
+    directory claims it lives, and every shared copy must hold it."""
     home = state.home
+    # Every Shared copy, listed by home or not: a copy an invalidation
+    # missed is not in home's sharer set.
+    for node, cache in enumerate(state.caches):
+        if cache.line == S and cache.version != state.latest:
+            raise ProtocolViolation(
+                f"quiescent sharer {node} at stale version {cache.version}"
+            )
     if home.dir in (U, SR, MU):
         if home.version != state.latest:
             raise ProtocolViolation(
                 f"quiescent {home.dir}: home holds version {home.version}, "
                 f"latest is {state.latest}"
             )
-        for node in home.sharers if home.dir == SR else ():
-            cache = state.caches[node]
-            if cache.line == S and cache.version != state.latest:
-                raise ProtocolViolation(
-                    f"quiescent sharer {node} at stale version {cache.version}"
-                )
     else:
         owner_cache = state.caches[home.owner]
         if owner_cache.line not in (D, M):
@@ -123,7 +134,11 @@ def _check_quiescent(state: State) -> None:
 def explore(
     model: ProtocolModel, max_states: int = 2_000_000
 ) -> ExplorationResult:
-    """BFS over the full reachable state space; raises on any violation."""
+    """BFS over the full reachable state space; raises on any violation.
+
+    Raises :class:`StateLimitExceeded` if more than ``max_states`` states
+    are reachable.
+    """
     initial = model.initial()
     seen: Set[State] = {initial}
     frontier: deque = deque([(initial, 0)])
@@ -134,10 +149,10 @@ def explore(
 
     while frontier:
         state, depth = frontier.popleft()
-        max_depth = max(max_depth, depth)
+        max_depth = depth  # BFS pops states in nondecreasing depth
         _check_state(state)
         shapes.add(
-            (state.home.dir, tuple(sorted(c.line for c in state.caches)))
+            (state.home.dir, tuple(sorted([c.line for c in state.caches])))
         )
         successors = list(model.successors(state))
         if not successors:
@@ -148,14 +163,15 @@ def explore(
             _check_quiescent(state)
             final_states += 1
             continue
+        transitions += len(successors)
         for _label, nxt in successors:
-            transitions += 1
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise ProtocolViolation(
-                        f"state space exceeded {max_states} states"
-                    )
-                seen.add(nxt)
+            # Tuples do not cache their hash, so hash each successor once:
+            # the set grew iff ``nxt`` is new.
+            size = len(seen)
+            seen.add(nxt)
+            if len(seen) > size:
+                if size >= max_states:
+                    raise StateLimitExceeded(max_states)
                 frontier.append((nxt, depth + 1))
 
     return ExplorationResult(

@@ -32,7 +32,9 @@ the space finite (sequential consistency: one outstanding op per cache).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from bisect import bisect_left
+from functools import partial
+from typing import FrozenSet, Iterator, NamedTuple, Optional, Tuple
 
 from repro.core.detection import should_nominate
 from repro.core.policy import ProtocolPolicy
@@ -97,11 +99,13 @@ class CacheSt(NamedTuple):
 
 
 class HomeSt(NamedTuple):
+    # The directory entry proper...
     dir: str = U
     sharers: FrozenSet[int] = frozenset()
     owner: int = -2                 # -2: none
     lw: int = -2                    # -2: invalid pointer
     version: int = 0
+    # ...then the per-block transaction latch.
     busy: bool = False
     awaiting_wb: bool = False
     inflight: Tuple = ()            # (kind, requester, demote) or ()
@@ -123,34 +127,95 @@ class ProtocolViolation(Exception):
 
 
 # ----------------------------------------------------------------------
-# Channel helpers
+# Positional construction
 # ----------------------------------------------------------------------
-def _chan_key(msg: Msg) -> Tuple[int, int, str]:
-    return (msg.src, msg.dst, msg.network)
+# The search builds millions of state tuples, and ``NamedTuple._replace``
+# pays for a keyword dict, ``map`` and ``_make`` on every call.  The
+# transition relation instead unpacks a state into locals and rebuilds it
+# from all of its fields in declaration order; a partial of
+# ``tuple.__new__`` does that in one C call.
+_state = partial(tuple.__new__, State)
+_home = partial(tuple.__new__, HomeSt)
+_cache = partial(tuple.__new__, CacheSt)
+_mshr = partial(tuple.__new__, Mshr)
+
+#: The MSHR a processor op allocates (tuples are immutable, so one
+#: instance of each serves every miss).
+_READ_MISS = Mshr(is_write=False)
+_WRITE_MISS = Mshr(is_write=True)
+
+#: Field positions for the single-field updates made with :func:`_with`.
+_ACKS_GOT, _INVAL_ON_FILL, _MIACK_GOT, _UPD_VERSION = map(
+    Mshr._fields.index, ("acks_got", "inval_on_fill", "miack_got", "upd_version")
+)
+_UPD_COUNT = HomeSt._fields.index("upd_count")
 
 
-def push(channels: Tuple, msg: Msg) -> Tuple:
-    table: Dict = dict(channels)
-    key = _chan_key(msg)
-    table[key] = table.get(key, ()) + (msg,)
-    return tuple(sorted(table.items()))
+def _with(record: tuple, field: int, value) -> tuple:
+    """``record`` with the field at position ``field`` set to ``value``."""
+    return tuple.__new__(
+        type(record), record[:field] + (value,) + record[field + 1:]
+    )
 
 
-def push_all(channels: Tuple, msgs: List[Msg]) -> Tuple:
+def _entry(home: HomeSt, dir: str, sharers: FrozenSet[int], owner: int,
+           lw: int, version: int) -> HomeSt:
+    """``home`` with its directory-entry fields (the first five) replaced."""
+    return _home((dir, sharers, owner, lw, version) + home[5:])
+
+
+def _latch(home: HomeSt, busy: bool, awaiting_wb: bool, inflight: Tuple,
+           pending: Tuple) -> HomeSt:
+    """``home`` with its transaction-latch fields replaced."""
+    return _home(home[:5] + (busy, awaiting_wb, inflight, pending, home.upd_count))
+
+
+def _set_home(state: State, home: HomeSt, *msgs: Msg) -> State:
+    """``state`` with ``home`` installed, then ``msgs`` appended to their
+    channels in order."""
+    _old, caches, channels, latest = state
     for msg in msgs:
         channels = push(channels, msg)
-    return channels
+    return _state((home, caches, channels, latest))
+
+
+def _set_cache(state: State, node: int, cache: CacheSt, *msgs: Msg) -> State:
+    """``state`` with cache ``node`` replaced, then ``msgs`` sent."""
+    home, caches, channels, latest = state
+    for msg in msgs:
+        channels = push(channels, msg)
+    caches = caches[:node] + (cache,) + caches[node + 1:]
+    return _state((home, caches, channels, latest))
+
+
+# ----------------------------------------------------------------------
+# Channel helpers
+# ----------------------------------------------------------------------
+# ``channels`` stays sorted by key, so a message is inserted or removed
+# in place: ``(key,)`` sorts before ``(key, queue)`` and after every
+# smaller key, so ``bisect_left`` finds the key's slot.
+def push(channels: Tuple, msg: Msg) -> Tuple:
+    key = (msg.src, msg.dst, msg.network)
+    index = bisect_left(channels, (key,))
+    if index < len(channels) and channels[index][0] == key:
+        queue = channels[index][1] + (msg,)
+        return channels[:index] + ((key, queue),) + channels[index + 1:]
+    return channels[:index] + ((key, (msg,)),) + channels[index:]
 
 
 def pop(channels: Tuple, key) -> Tuple[Msg, Tuple]:
-    table: Dict = dict(channels)
-    queue = table[key]
-    msg, rest = queue[0], queue[1:]
-    if rest:
-        table[key] = rest
-    else:
-        del table[key]
-    return msg, tuple(sorted(table.items()))
+    index = bisect_left(channels, (key,))
+    if index == len(channels) or channels[index][0] != key:
+        raise KeyError(key)
+    return _pop_at(channels, index)
+
+
+def _pop_at(channels: Tuple, index: int) -> Tuple[Msg, Tuple]:
+    """The head of the ``index``-th channel, and the table without it."""
+    key, queue = channels[index]
+    if len(queue) > 1:
+        return queue[0], channels[:index] + ((key, queue[1:]),) + channels[index + 1:]
+    return queue[0], channels[:index] + channels[index + 1:]
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +243,16 @@ class ProtocolModel:
 
     def successors(self, state: State) -> Iterator[Tuple[str, State]]:
         """Yield (label, next_state) for every enabled transition."""
+        home, caches, channels, latest = state
         # 1. Processor actions.
-        for node, cache in enumerate(state.caches):
+        for node, cache in enumerate(caches):
             if cache.ops_left <= 0 or cache.mshr is not None:
                 continue
             yield from self._processor_actions(state, node, cache)
         # 2. Message deliveries (one per channel head).
-        for key, _queue in state.channels:
-            msg, channels = pop(state.channels, key)
-            base = state._replace(channels=channels)
+        for index in range(len(channels)):
+            msg, rest = _pop_at(channels, index)
+            base = _state((home, caches, rest, latest))
             if msg.dst == HOME:
                 yield f"home<-{msg.kind}@{msg.src}", self._home_handle(base, msg)
             else:
@@ -199,54 +265,48 @@ class ProtocolModel:
     # Processor actions
     # ------------------------------------------------------------------
     def _processor_actions(self, state, node, cache):
-        spent = cache._replace(ops_left=cache.ops_left - 1)
+        line, version, locked, _mshr_none, wb, deferred, ops_left = cache
+        ops_left -= 1
         # Read.
-        if cache.line in (S, D, M):
-            new = self._set_cache(state, node, spent)
-            yield f"c{node}.read-hit", new
+        if line in (S, D, M):
+            spent = _cache((line, version, locked, None, wb, deferred, ops_left))
+            yield f"c{node}.read-hit", _set_cache(state, node, spent)
         else:
-            mshr = Mshr(is_write=False)
-            new = self._set_cache(state, node, spent._replace(mshr=mshr))
-            new = new._replace(
-                channels=push(new.channels, Msg(RR, node, HOME, node))
+            miss = _cache((line, version, locked, _READ_MISS, wb, deferred, ops_left))
+            yield f"c{node}.read-miss", _set_cache(
+                state, node, miss, Msg(RR, node, HOME, node)
             )
-            yield f"c{node}.read-miss", new
         # Write.
-        if cache.line in (D, M):
-            committed = self._commit_write(state, node, cache.version)
-            new_line = spent._replace(line=D, version=committed.latest)
-            yield f"c{node}.write-hit", self._set_cache(committed, node, new_line)
+        if line in (D, M):
+            home, caches, channels, latest = state
+            latest = self._commit_write(node, version, latest)
+            written = _cache((D, latest, locked, None, wb, deferred, ops_left))
+            caches = caches[:node] + (written,) + caches[node + 1:]
+            yield f"c{node}.write-hit", _state((home, caches, channels, latest))
         else:
-            mshr = Mshr(is_write=True)
             store_kind = WU if self._is_update else RXQ
-            new = self._set_cache(state, node, spent._replace(mshr=mshr))
-            new = new._replace(
-                channels=push(new.channels, Msg(store_kind, node, HOME, node))
+            miss = _cache((line, version, locked, _WRITE_MISS, wb, deferred, ops_left))
+            yield f"c{node}.write-miss", _set_cache(
+                state, node, miss, Msg(store_kind, node, HOME, node)
             )
-            yield f"c{node}.write-miss", new
         # Eviction (replacement): silent for shared, writeback for owned.
-        if cache.line == S:
-            yield f"c{node}.evict-s", self._set_cache(
-                state, node, spent._replace(line=I, version=0)
+        if line == S:
+            evicted = _cache((I, 0, locked, None, wb, deferred, ops_left))
+            yield f"c{node}.evict-s", _set_cache(state, node, evicted)
+        elif line in (D, M) and not locked:
+            evicted = _cache((I, 0, locked, None, wb + 1, deferred, ops_left))
+            yield f"c{node}.evict-d", _set_cache(
+                state, node, evicted, Msg(WB, node, HOME, node, version=version)
             )
-        elif cache.line in (D, M) and not cache.locked:
-            new_cache = spent._replace(line=I, version=0, wb=cache.wb + 1)
-            new = self._set_cache(state, node, new_cache)
-            new = new._replace(
-                channels=push(
-                    new.channels,
-                    Msg(WB, node, HOME, node, version=cache.version),
-                )
-            )
-            yield f"c{node}.evict-d", new
 
-    def _commit_write(self, state: State, node: int, old_version: int) -> State:
-        if old_version != state.latest:
+    def _commit_write(self, node: int, old_version: int, latest: int) -> int:
+        """Serialize a write of ``node`` on ``old_version``; the new latest."""
+        if old_version != latest:
             raise ProtocolViolation(
                 f"lost update: cache {node} wrote on version {old_version}, "
-                f"latest is {state.latest}"
+                f"latest is {latest}"
             )
-        return state._replace(latest=state.latest + 1)
+        return latest + 1
 
     # ------------------------------------------------------------------
     # Home directory (mirrors repro.coherence.directory)
@@ -256,81 +316,58 @@ class ProtocolModel:
         kind = msg.kind
         if kind in (RR, RXQ, WU):
             if home.busy:
-                return state._replace(
-                    home=home._replace(pending=home.pending + ((kind, msg.requester),))
+                pending = home.pending + ((kind, msg.requester),)
+                return _set_home(
+                    state,
+                    _latch(home, home.busy, home.awaiting_wb, home.inflight, pending),
                 )
             return self._home_process(state, kind, msg.requester)
         if kind == SW:
-            home = home._replace(
-                dir=SR,
-                version=msg.version,
-                sharers=frozenset({msg.src, msg.requester}),
-                owner=-2,
+            sharers = frozenset({msg.src, msg.requester})
+            return self._home_complete(
+                state, _entry(home, SR, sharers, -2, home.lw, msg.version)
             )
-            return self._home_complete(state._replace(home=home))
         if kind == XFER:
-            home = home._replace(
-                dir=DR, owner=msg.requester, sharers=frozenset(), lw=msg.requester
+            requester = msg.requester
+            home = _entry(home, DR, frozenset(), requester, requester, home.version)
+            return self._home_complete(
+                state, home, Msg(MIACK, HOME, requester, requester)
             )
-            new = state._replace(
-                home=home,
-                channels=push(
-                    state.channels, Msg(MIACK, HOME, msg.requester, msg.requester)
-                ),
-            )
-            return self._home_complete(new)
         if kind == DT:
             _k, requester, demote = home.inflight
             if demote:
-                home = home._replace(dir=DR, owner=requester, lw=requester)
+                home = _entry(home, DR, frozenset(), requester, requester, home.version)
             else:
-                home = home._replace(dir=MD, owner=requester)
-            home = home._replace(sharers=frozenset())
-            new = state._replace(
-                home=home,
-                channels=push(
-                    state.channels, Msg(MIACK, HOME, requester, requester)
-                ),
+                home = _entry(home, MD, frozenset(), requester, home.lw, home.version)
+            return self._home_complete(
+                state, home, Msg(MIACK, HOME, requester, requester)
             )
-            return self._home_complete(new)
         if kind == NOMIG:
-            home = home._replace(
-                dir=SR,
-                version=msg.version,
-                sharers=frozenset({msg.src, msg.requester}),
-                owner=-2,
-                lw=-2,
+            sharers = frozenset({msg.src, msg.requester})
+            return self._home_complete(
+                state, _entry(home, SR, sharers, -2, -2, msg.version)
             )
-            return self._home_complete(state._replace(home=home))
         if kind == NAK:
             inflight_kind, requester, _demote = home.inflight
-            home = home._replace(
-                inflight=(), pending=((inflight_kind, requester),) + home.pending
-            )
+            pending = ((inflight_kind, requester),) + home.pending
             if home.dir in (U, SR, MU):
-                home = home._replace(busy=False)
-                return self._home_drain(state._replace(home=home))
-            return state._replace(home=home._replace(awaiting_wb=True))
+                home = _latch(home, False, home.awaiting_wb, (), pending)
+                return self._home_drain(_set_home(state, home))
+            return _set_home(state, _latch(home, home.busy, True, (), pending))
         if kind == WB:
             if home.owner != msg.src:
                 raise ProtocolViolation(
                     f"writeback from {msg.src} but owner is {home.owner}"
                 )
-            home = home._replace(
-                dir=MU if home.dir == MD else U,
-                owner=-2,
-                version=msg.version,
+            home = _entry(
+                home, MU if home.dir == MD else U, home.sharers, -2, home.lw,
+                msg.version,
             )
-            new = state._replace(
-                home=home,
-                channels=push(state.channels, Msg(WACK, HOME, msg.src, msg.src)),
-            )
+            wack = Msg(WACK, HOME, msg.src, msg.src)
             if home.busy and home.awaiting_wb:
-                new = new._replace(
-                    home=new.home._replace(busy=False, awaiting_wb=False)
-                )
-                return self._home_drain(new)
-            return new
+                home = _latch(home, False, False, home.inflight, home.pending)
+                return self._home_drain(_set_home(state, home, wack))
+            return _set_home(state, home, wack)
         raise ProtocolViolation(f"home got unexpected {msg}")
 
     def _home_process(self, state: State, kind: str, requester: int) -> State:
@@ -340,42 +377,29 @@ class ProtocolModel:
         if kind == RR:
             # A consumer read resets the hybrid's unconsumed-update count.
             if self._is_update and home.upd_count:
-                home = home._replace(upd_count=0)
-                state = state._replace(home=home)
+                home = _with(home, _UPD_COUNT, 0)
+                state = _set_home(state, home)
             if home.dir == U and self._grant_exclusive:
-                home = home._replace(
-                    dir=DR, owner=requester, sharers=frozenset(), lw=requester
-                )
-                return state._replace(
-                    home=home,
-                    channels=push(
-                        state.channels,
-                        Msg(MACK, HOME, requester, requester,
-                            version=home.version, miack_needed=False),
-                    ),
+                home = _entry(home, DR, frozenset(), requester, requester, home.version)
+                return _set_home(
+                    state, home,
+                    Msg(MACK, HOME, requester, requester,
+                        version=home.version, miack_needed=False),
                 )
             if home.dir in (U, SR):
                 sharers = home.sharers | {requester}
                 lw = -2 if len(sharers) > 2 else home.lw
-                home = home._replace(dir=SR, sharers=sharers, lw=lw)
-                return state._replace(
-                    home=home,
-                    channels=push(
-                        state.channels,
-                        Msg(RP, HOME, requester, requester, version=home.version),
-                    ),
+                home = _entry(home, SR, sharers, home.owner, lw, home.version)
+                return _set_home(
+                    state, home,
+                    Msg(RP, HOME, requester, requester, version=home.version),
                 )
             if home.dir == MU:
-                home = home._replace(dir=MD, owner=requester, sharers=frozenset())
-                return state._replace(
-                    home=home,
-                    channels=push(
-                        state.channels,
-                        Msg(
-                            MACK, HOME, requester, requester,
-                            version=home.version, miack_needed=False,
-                        ),
-                    ),
+                home = _entry(home, MD, frozenset(), requester, home.lw, home.version)
+                return _set_home(
+                    state, home,
+                    Msg(MACK, HOME, requester, requester,
+                        version=home.version, miack_needed=False),
                 )
             if home.dir == DR:
                 if home.owner == requester:
@@ -387,16 +411,11 @@ class ProtocolModel:
                 return self._forward(state, MR, requester, demote=False)
         else:  # RXQ
             if home.dir == U:
-                home = home._replace(dir=DR, owner=requester, lw=requester,
-                                     sharers=frozenset())
-                return state._replace(
-                    home=home,
-                    channels=push(
-                        state.channels,
-                        Msg(RXP, HOME, requester, requester,
-                            version=home.version, n_invals=0,
-                            miack_needed=False),
-                    ),
+                home = _entry(home, DR, frozenset(), requester, requester, home.version)
+                return _set_home(
+                    state, home,
+                    Msg(RXP, HOME, requester, requester,
+                        version=home.version, n_invals=0, miack_needed=False),
                 )
             if home.dir == SR:
                 others = home.sharers - {requester}
@@ -404,35 +423,28 @@ class ProtocolModel:
                 nominate = self.policy.adaptive and should_nominate(
                     len(home.sharers), requester, lw_value
                 )
-                home = home._replace(
-                    dir=MD if nominate else DR,
-                    owner=requester,
-                    sharers=frozenset(),
-                    lw=requester,
+                home = _entry(
+                    home, MD if nominate else DR, frozenset(), requester,
+                    requester, home.version,
                 )
-                msgs = [
+                return _set_home(
+                    state, home,
                     Msg(RXP, HOME, requester, requester,
                         version=home.version, n_invals=len(others),
-                        miack_needed=False)
-                ]
-                msgs += [Msg(INV, HOME, s, requester) for s in sorted(others)]
-                return state._replace(
-                    home=home, channels=push_all(state.channels, msgs)
+                        miack_needed=False),
+                    *[Msg(INV, HOME, s, requester) for s in sorted(others)],
                 )
             if home.dir == MU:
                 if self.policy.rxq_reverts_to_ordinary:
-                    home = home._replace(dir=DR, lw=requester)
+                    home = _entry(home, DR, frozenset(), requester, requester,
+                                  home.version)
                 else:
-                    home = home._replace(dir=MD)
-                home = home._replace(owner=requester, sharers=frozenset())
-                return state._replace(
-                    home=home,
-                    channels=push(
-                        state.channels,
-                        Msg(RXP, HOME, requester, requester,
-                            version=home.version, n_invals=0,
-                            miack_needed=False),
-                    ),
+                    home = _entry(home, MD, frozenset(), requester, home.lw,
+                                  home.version)
+                return _set_home(
+                    state, home,
+                    Msg(RXP, HOME, requester, requester,
+                        version=home.version, n_invals=0, miack_needed=False),
                 )
             if home.dir == DR:
                 if home.owner == requester:
@@ -450,73 +462,66 @@ class ProtocolModel:
     def _home_process_wu(self, state: State, requester: int) -> State:
         """A write under an update protocol: commit at home and push
         updates, or (hybrid past its threshold) fall back to invalidate."""
-        home = state.home
+        home, caches, channels, latest = state
         if home.dir == SR:
             others = home.sharers - {requester}
             if others and self.protocol.use_update(len(others), home.upd_count):
-                if home.version != state.latest:
+                if home.version != latest:
                     raise ProtocolViolation(
                         f"update commit on stale home version {home.version}, "
-                        f"latest is {state.latest}"
+                        f"latest is {latest}"
                     )
-                version = state.latest + 1
-                home = home._replace(
-                    version=version,
-                    upd_count=home.upd_count + 1,
-                    sharers=home.sharers | {requester},
-                )
-                msgs = [
+                version = latest + 1
+                home = _home((
+                    home.dir, home.sharers | {requester}, home.owner, home.lw,
+                    version, home.busy, home.awaiting_wb, home.inflight,
+                    home.pending, home.upd_count + 1,
+                ))
+                channels = push(
+                    channels,
                     Msg(WUP, HOME, requester, requester,
-                        version=version, n_invals=len(others))
-                ]
-                msgs += [
-                    Msg(UPD, HOME, s, requester, version=version)
-                    for s in sorted(others)
-                ]
-                return state._replace(
-                    latest=version,
-                    home=home,
-                    channels=push_all(state.channels, msgs),
+                        version=version, n_invals=len(others)),
                 )
+                for s in sorted(others):
+                    channels = push(
+                        channels, Msg(UPD, HOME, s, requester, version=version)
+                    )
+                return _state((home, caches, channels, version))
             if others:
                 # Threshold exceeded: reset and take the invalidate flow.
-                state = state._replace(home=home._replace(upd_count=0))
+                state = _set_home(state, _with(home, _UPD_COUNT, 0))
         # Uncached, sole-sharer upgrade, or owned elsewhere: the ordinary
         # read-exclusive flow handles every one of those cases.
         return self._home_process(state, RXQ, requester)
 
     def _forward(self, state, fwd_kind, requester, demote, for_write=False):
-        home = state.home._replace(
-            busy=True,
-            inflight=(fwd_kind, requester, demote),
-        )
-        return state._replace(
-            home=home,
-            channels=push(
-                state.channels,
-                Msg(fwd_kind, HOME, state.home.owner, requester,
-                    for_write=for_write),
-            ),
+        home = state.home
+        return _set_home(
+            state,
+            _latch(home, True, home.awaiting_wb, (fwd_kind, requester, demote),
+                   home.pending),
+            Msg(fwd_kind, HOME, home.owner, requester, for_write=for_write),
         )
 
     def _wait_wb(self, state, kind, requester):
-        home = state.home._replace(
-            busy=True,
-            awaiting_wb=True,
-            inflight=(),
-            pending=((kind, requester),) + state.home.pending,
-        )
-        return state._replace(home=home)
+        home = state.home
+        pending = ((kind, requester),) + home.pending
+        return _set_home(state, _latch(home, True, True, (), pending))
 
-    def _home_complete(self, state: State) -> State:
-        home = state.home._replace(busy=False, inflight=())
-        return self._home_drain(state._replace(home=home))
+    def _home_complete(self, state: State, home: HomeSt, *msgs: Msg) -> State:
+        """Install ``home``, send ``msgs``, end the transaction and drain."""
+        home = _latch(home, False, home.awaiting_wb, (), home.pending)
+        return self._home_drain(_set_home(state, home, *msgs))
 
     def _home_drain(self, state: State) -> State:
-        while state.home.pending and not state.home.busy:
-            (kind, requester), rest = state.home.pending[0], state.home.pending[1:]
-            state = state._replace(home=state.home._replace(pending=rest))
+        home = state.home
+        while home.pending and not home.busy:
+            (kind, requester), rest = home.pending[0], home.pending[1:]
+            state = _set_home(
+                state, _latch(home, home.busy, home.awaiting_wb, home.inflight, rest)
+            )
             state = self._home_process(state, kind, requester)
+            home = state.home
         return state
 
     # ------------------------------------------------------------------
@@ -525,172 +530,163 @@ class ProtocolModel:
     def _cache_handle(self, state: State, node: int, msg: Msg) -> State:
         cache = state.caches[node]
         kind = msg.kind
-        if kind == RP:
-            mshr = cache.mshr._replace(data=True, fill=S, version=msg.version)
-            return self._maybe_retire(state, node, cache._replace(mshr=mshr))
-        if kind == RXP:
-            mshr = cache.mshr._replace(
-                data=True, fill=D, version=msg.version,
-                acks_expected=msg.n_invals,
-                miack_needed=msg.miack_needed,
+        if kind in (RP, RXP, MACK, WUP):
+            # A data fill: record it in the MSHR, then retire if complete.
+            m = cache.mshr
+            acks_expected, miack_needed, committed = (
+                m.acks_expected, m.miack_needed, m.committed
             )
-            return self._maybe_retire(state, node, cache._replace(mshr=mshr))
-        if kind == MACK:
-            fill = D if cache.mshr.is_write else M
-            mshr = cache.mshr._replace(
-                data=True, fill=fill, version=msg.version,
-                acks_expected=0, miack_needed=msg.miack_needed,
-            )
-            return self._maybe_retire(state, node, cache._replace(mshr=mshr))
-        if kind == WUP:
-            mshr = cache.mshr._replace(
-                data=True, fill=S, version=msg.version,
-                acks_expected=msg.n_invals, committed=True,
-            )
-            return self._maybe_retire(state, node, cache._replace(mshr=mshr))
+            if kind == RP:
+                fill = S
+            elif kind == RXP:
+                fill, acks_expected = D, msg.n_invals
+                miack_needed = msg.miack_needed
+            elif kind == MACK:
+                fill, acks_expected = (D if m.is_write else M), 0
+                miack_needed = msg.miack_needed
+            else:  # WUP: the store already committed at home
+                fill, acks_expected, committed = S, msg.n_invals, True
+            mshr = _mshr((
+                m.is_write, True, fill, msg.version, acks_expected, m.acks_got,
+                m.inval_on_fill, miack_needed, m.miack_got, committed,
+                m.upd_version,
+            ))
+            return self._maybe_retire(state, node, cache, mshr)
+        line, version, locked, mshr, wb, deferred, ops_left = cache
         if kind == UPD:
-            if cache.line == S:
-                if msg.version > cache.version:
-                    cache = cache._replace(version=msg.version)
-            elif cache.line in (D, M) and msg.version > cache.version:
+            if line == S:
+                if msg.version > version:
+                    version = msg.version
+            elif line in (D, M) and msg.version > version:
                 raise ProtocolViolation(
                     f"update v{msg.version} hit writable line at cache {node}"
                 )
-            if cache.mshr is not None and msg.version > cache.mshr.upd_version:
-                cache = cache._replace(
-                    mshr=cache.mshr._replace(upd_version=msg.version)
-                )
-            new = self._set_cache(state, node, cache)
-            return new._replace(
-                channels=push(
-                    new.channels, Msg(UACK, node, msg.requester, msg.requester)
-                )
+            if mshr is not None and msg.version > mshr.upd_version:
+                mshr = _with(mshr, _UPD_VERSION, msg.version)
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb, deferred, ops_left)),
+                Msg(UACK, node, msg.requester, msg.requester),
             )
         if kind in (IACK, UACK):
-            mshr = cache.mshr._replace(acks_got=cache.mshr.acks_got + 1)
-            return self._maybe_retire(state, node, cache._replace(mshr=mshr))
+            mshr = _with(mshr, _ACKS_GOT, mshr.acks_got + 1)
+            return self._maybe_retire(state, node, cache, mshr)
         if kind == MIACK:
-            if cache.mshr is not None:
-                cache = cache._replace(mshr=cache.mshr._replace(miack_got=True))
+            if mshr is not None:
+                mshr = _with(mshr, _MIACK_GOT, True)
             else:
-                cache = cache._replace(locked=False)
-            return self._set_cache(state, node, cache)
+                locked = False
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb, deferred, ops_left)),
+            )
         if kind == INV:
-            msgs = [Msg(IACK, node, msg.requester, msg.requester)]
-            if cache.line == S:
-                cache = cache._replace(line=I, version=0)
-            elif cache.line in (D, M):
+            if line == S:
+                line, version = I, 0
+            elif line in (D, M):
                 raise ProtocolViolation(f"Inv hit owned line at cache {node}")
-            if cache.mshr is not None and (
-                not cache.mshr.is_write or self._is_update
-            ):
-                cache = cache._replace(
-                    mshr=cache.mshr._replace(inval_on_fill=True)
-                )
-            new = self._set_cache(state, node, cache)
-            return new._replace(channels=push_all(new.channels, msgs))
+            if mshr is not None and (not mshr.is_write or self._is_update):
+                mshr = _with(mshr, _INVAL_ON_FILL, True)
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb, deferred, ops_left)),
+                Msg(IACK, node, msg.requester, msg.requester),
+            )
         if kind in (FWD_RR, FWD_RXQ, MR):
             return self._serve_forward(state, node, msg)
         if kind == WACK:
-            if cache.wb <= 0:
+            if wb <= 0:
                 raise ProtocolViolation(f"Wack with no writeback at cache {node}")
-            return self._set_cache(state, node, cache._replace(wb=cache.wb - 1))
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb - 1, deferred, ops_left)),
+            )
         raise ProtocolViolation(f"cache {node} got unexpected {msg}")
 
     def _serve_forward(self, state: State, node: int, msg: Msg) -> State:
-        cache = state.caches[node]
-        if cache.wb > 0:
-            return state._replace(
-                channels=push(
-                    state.channels, Msg(NAK, node, HOME, msg.requester)
-                )
+        line, version, locked, mshr, wb, deferred, ops_left = state.caches[node]
+        if wb > 0:
+            return _set_home(state, state.home, Msg(NAK, node, HOME, msg.requester))
+        if mshr is not None:
+            deferred = deferred + (msg,)
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb, deferred, ops_left)),
             )
-        if cache.mshr is not None:
-            return self._set_cache(
-                state, node, cache._replace(deferred=cache.deferred + (msg,))
-            )
-        if cache.line == I:
+        if line == I:
             raise ProtocolViolation(
                 f"forward {msg.kind} to cache {node} with no copy or writeback"
             )
         owned = (D, M) if self._clean_exclusive else (D,)
+        requester = msg.requester
         if msg.kind == FWD_RR:
-            if cache.line not in owned:
-                raise ProtocolViolation(f"FwdRr hit {cache.line} at {node}")
-            msgs = [
-                Msg(RP, node, msg.requester, msg.requester, version=cache.version),
-                Msg(SW, node, HOME, msg.requester, version=cache.version),
-            ]
-            cache = cache._replace(line=S)
+            if line not in owned:
+                raise ProtocolViolation(f"FwdRr hit {line} at {node}")
+            msgs = (
+                Msg(RP, node, requester, requester, version=version),
+                Msg(SW, node, HOME, requester, version=version),
+            )
+            line = S
         elif msg.kind == FWD_RXQ:
-            if cache.line not in owned:
-                raise ProtocolViolation(f"FwdRxq hit {cache.line} at {node}")
-            msgs = [
-                Msg(RXP, node, msg.requester, msg.requester,
-                    version=cache.version, n_invals=0),
-                Msg(XFER, node, HOME, msg.requester),
-            ]
-            cache = cache._replace(line=I, version=0)
+            if line not in owned:
+                raise ProtocolViolation(f"FwdRxq hit {line} at {node}")
+            msgs = (
+                Msg(RXP, node, requester, requester, version=version, n_invals=0),
+                Msg(XFER, node, HOME, requester),
+            )
+            line, version = I, 0
         else:  # MR
-            if cache.line == M and not msg.for_write and self.policy.nomig_enabled:
-                msgs = [
-                    Msg(RP, node, msg.requester, msg.requester,
-                        version=cache.version),
-                    Msg(NOMIG, node, HOME, msg.requester, version=cache.version),
-                ]
-                cache = cache._replace(line=S, locked=False)
-            elif cache.line in (D, M):
-                msgs = [
-                    Msg(MACK, node, msg.requester, msg.requester,
-                        version=cache.version, miack_needed=True),
-                    Msg(DT, node, HOME, msg.requester),
-                ]
-                cache = cache._replace(line=I, version=0, locked=False)
+            if line == M and not msg.for_write and self.policy.nomig_enabled:
+                msgs = (
+                    Msg(RP, node, requester, requester, version=version),
+                    Msg(NOMIG, node, HOME, requester, version=version),
+                )
+                line, locked = S, False
+            elif line in (D, M):
+                msgs = (
+                    Msg(MACK, node, requester, requester,
+                        version=version, miack_needed=True),
+                    Msg(DT, node, HOME, requester),
+                )
+                line, version, locked = I, 0, False
             else:
-                raise ProtocolViolation(f"Mr hit {cache.line} at {node}")
-        new = self._set_cache(state, node, cache)
-        return new._replace(channels=push_all(new.channels, msgs))
+                raise ProtocolViolation(f"Mr hit {line} at {node}")
+        return _set_cache(
+            state, node,
+            _cache((line, version, locked, mshr, wb, deferred, ops_left)),
+            *msgs,
+        )
 
-    def _maybe_retire(self, state: State, node: int, cache: CacheSt) -> State:
-        mshr = cache.mshr
-        if not mshr.data:
-            return self._set_cache(state, node, cache)
-        if (
+    def _maybe_retire(self, state: State, node: int, cache: CacheSt,
+                      mshr: Mshr) -> State:
+        """Install ``mshr`` on ``cache``; retire the op if it is complete."""
+        line, version, locked, _old, wb, deferred, ops_left = cache
+        if not mshr.data or (
             mshr.is_write
-            and mshr.acks_expected >= 0
-            and mshr.acks_got < mshr.acks_expected
+            and (mshr.acks_expected < 0 or mshr.acks_got < mshr.acks_expected)
         ):
-            return self._set_cache(state, node, cache)
-        if mshr.is_write and mshr.acks_expected < 0:
-            return self._set_cache(state, node, cache)
+            # No data yet, or a write still counting acks (-1: unknown
+            # until the Rxp arrives).
+            return _set_cache(
+                state, node,
+                _cache((line, version, locked, mshr, wb, deferred, ops_left)),
+            )
         # Retire.  A raced Upd can carry a newer version than the fill;
         # versions only move forward.
-        fill_version = max(mshr.version, mshr.upd_version)
-        consume_once = mshr.inval_on_fill and mshr.fill == S
-        if consume_once:
-            cache = cache._replace(line=I, version=0, mshr=None)
-            state = self._set_cache(state, node, cache)
+        home, caches, channels, latest = state
+        if mshr.inval_on_fill and mshr.fill == S:
+            line, version = I, 0  # consume once
         else:
+            line = mshr.fill
+            version = max(mshr.version, mshr.upd_version)
             locked = mshr.miack_needed and not mshr.miack_got
-            cache = cache._replace(
-                line=mshr.fill, version=fill_version, locked=locked, mshr=None
-            )
-            state = self._set_cache(state, node, cache)
             if mshr.is_write and not mshr.committed:
-                state = self._commit_write(state, node, fill_version)
-                cache = state.caches[node]._replace(version=state.latest)
-                state = self._set_cache(state, node, cache)
+                latest = self._commit_write(node, version, latest)
+                version = latest
+        retired = _cache((line, version, locked, None, wb, (), ops_left))
+        caches = caches[:node] + (retired,) + caches[node + 1:]
+        state = _state((home, caches, channels, latest))
         # Serve deferred forwards in order.
-        deferred = state.caches[node].deferred
-        state = self._set_cache(
-            state, node, state.caches[node]._replace(deferred=())
-        )
         for fwd in deferred:
             state = self._serve_forward(state, node, fwd)
         return state
-
-    # ------------------------------------------------------------------
-    def _set_cache(self, state: State, node: int, cache: CacheSt) -> State:
-        caches = list(state.caches)
-        caches[node] = cache
-        return state._replace(caches=tuple(caches))

@@ -14,14 +14,14 @@ def test_networks_are_independent_resources():
     arrivals = {}
 
     def deliver(m):
-        arrivals.setdefault(m.uid, sim.now)
+        arrivals.setdefault(id(m), sim.now)
 
     a = NetworkMessage(src=0, dst=1, bits=168)
     b = NetworkMessage(src=0, dst=1, bits=168)
     fabric.request_mesh.send(a, deliver)
     fabric.reply_mesh.send(b, deliver)  # rides the other mesh: no queueing behind a
     sim.run()
-    assert arrivals[a.uid] == arrivals[b.uid]
+    assert arrivals[id(a)] == arrivals[id(b)]
 
 
 def test_aggregate_statistics():

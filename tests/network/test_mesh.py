@@ -126,7 +126,28 @@ def test_traffic_statistics_accumulate():
     sim.run()
     assert mesh.messages_sent == 2
     assert mesh.bits_sent == 208
-    assert mesh.mean_latency() > 0
+    # Opposite directions use disjoint links, so both are unloaded:
+    # 2 hops * 3 + 3 flits + 2 = 11 and 2 hops * 3 + 11 flits + 2 = 19.
+    assert mesh.total_latency == 11 + 19
+    assert mesh.mean_latency() == 15.0
+
+
+def test_reset_stats_mid_flight_drops_in_flight_latency():
+    """Latency is counted with messages_sent, at injection: a message in
+    flight across reset_stats() counts in neither."""
+    sim, mesh = make_mesh()
+    mesh.send(NetworkMessage(src=0, dst=2, bits=40), lambda m: None)   # arrives at 11
+    mesh.send(NetworkMessage(src=2, dst=0, bits=168), lambda m: None)  # arrives at 19
+
+    def reset_then_send():
+        mesh.reset_stats()
+        mesh.send(NetworkMessage(src=0, dst=1, bits=40), lambda m: None)  # 8 cycles
+
+    sim.schedule_at(12, reset_then_send)
+    sim.run()
+    assert mesh.messages_sent == 1
+    assert mesh.total_latency == 8
+    assert mesh.mean_latency() == 8.0
 
 
 def test_bad_node_raises():

@@ -1,6 +1,8 @@
 """CLI tests (fast paths only)."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +111,26 @@ def test_verify_command(capsys):
     assert main(["verify", "--protocol", "AD", "--caches", "2", "--ops", "2"]) == 0
     out = capsys.readouterr().out
     assert "invariants held" in out
+
+
+def test_verify_state_cap_is_one_line_without_traceback():
+    """Hitting the state cap is not a protocol bug: one line naming the
+    cap and the configuration, a non-zero exit, no traceback."""
+    script = (
+        "import functools, sys\n"
+        "import repro.verify as verify\n"
+        "verify.explore = functools.partial(verify.explore, max_states=50)\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(['verify', '--protocol', 'AD', '--caches', '3', '--ops', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert lines == ["protocol AD, 3 caches x 2 ops: gave up at the "
+                     "50-state cap, no verdict"]
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,15 @@ machine actually visits.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import ProtocolPolicy
-from repro.verify import ProtocolModel, ProtocolViolation, explore
+from repro.verify import (
+    ProtocolModel,
+    ProtocolViolation,
+    StateLimitExceeded,
+    explore,
+)
 from repro.verify.model import (
     D,
     DR,
@@ -17,6 +23,7 @@ from repro.verify.model import (
     M,
     MD,
     MU,
+    REPLY_NET,
     Msg,
     RXP,
     S,
@@ -64,6 +71,47 @@ def test_ad_three_caches_exploration_clean():
     assert result.final_states > 0
 
 
+#: (states, transitions, quiescent, depth, shapes), recorded with the
+#: reference explorer (dict-and-sort channels, ``_replace`` everywhere).
+#: Any change to the transition relation or the search shows up here.
+PINNED_COUNTS = [
+    (ProtocolPolicy.write_invalidate(), 2, 2, (1110, 2218, 50, 18, 8)),
+    (ProtocolPolicy.adaptive_default(), 2, 2, (1230, 2428, 58, 19, 13)),
+    (ProtocolPolicy.mesi(), 2, 2, (1235, 2506, 58, 18, 9)),
+    (ProtocolPolicy.dragon(), 2, 2, (1644, 3620, 66, 18, 8)),
+    (ProtocolPolicy.hybrid(), 2, 2, (1644, 3620, 66, 18, 8)),
+    (ProtocolPolicy.adaptive_default(), 4, 1, (35116, 114300, 98, 21, 16)),
+]
+
+
+@pytest.mark.parametrize(
+    "policy,caches,ops,expected",
+    PINNED_COUNTS,
+    ids=[f"{p.name}-{c}x{o}" for p, c, o, _ in PINNED_COUNTS],
+)
+def test_exploration_counts_are_pinned(policy, caches, ops, expected):
+    result = explore(ProtocolModel(caches, ops, policy))
+    assert (
+        result.states_explored,
+        result.transitions,
+        result.final_states,
+        result.max_depth,
+        len(result.state_shapes),
+    ) == expected
+
+
+def test_state_cap_is_not_a_protocol_violation():
+    model = ProtocolModel(2, 2, ProtocolPolicy.adaptive_default())
+    with pytest.raises(StateLimitExceeded) as info:
+        explore(model, max_states=100)
+    assert not isinstance(info.value, ProtocolViolation)
+    assert info.value.max_states == 100
+    # The cap counts states, so the exact size fits and one less does not.
+    assert explore(model, max_states=1230).states_explored == 1230
+    with pytest.raises(StateLimitExceeded):
+        explore(model, max_states=1229)
+
+
 @pytest.mark.parametrize(
     "policy",
     [
@@ -89,6 +137,59 @@ def test_channels_are_fifo():
     assert first.version == 1
     assert second.version == 2
     assert channels == ()
+
+
+def _reference_push(channels, msg):
+    """The original channel insert: rebuild the table, then sort it."""
+    table = dict(channels)
+    key = (msg.src, msg.dst, msg.network)
+    table[key] = table.get(key, ()) + (msg,)
+    return tuple(sorted(table.items()))
+
+
+def _reference_pop(channels, key):
+    table = dict(channels)
+    queue = table[key]
+    msg, rest = queue[0], queue[1:]
+    if rest:
+        table[key] = rest
+    else:
+        del table[key]
+    return msg, tuple(sorted(table.items()))
+
+
+_KINDS = sorted(REPLY_NET) + ["Rr", "Rxq", "FwdRr", "FwdRxq", "Mr", "Inv",
+                              "DT", "Xfer", "Wack", "MIack", "Wu", "Upd"]
+_NODES = st.sampled_from([HOME, 0, 1, 2])
+_PUSH = st.builds(
+    lambda kind, src, dst, version: ("push", Msg(kind, src, dst, src, version=version)),
+    st.sampled_from(_KINDS), _NODES, _NODES, st.integers(0, 3),
+)
+_POP = st.builds(lambda pick: ("pop", pick), st.integers(0, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_PUSH, _POP), max_size=40))
+def test_channel_ops_match_reference(ops):
+    """push/pop edit the sorted table in place; on any message sequence
+    they must equal the rebuild-and-sort reference, step by step."""
+    channels = reference = ()
+    for op, arg in ops:
+        if op == "push":
+            channels = push(channels, arg)
+            reference = _reference_push(reference, arg)
+        elif reference:
+            key = reference[arg % len(reference)][0]
+            msg, channels = pop(channels, key)
+            ref_msg, reference = _reference_pop(reference, key)
+            assert msg == ref_msg
+        assert channels == reference
+
+
+def test_pop_of_missing_channel_raises_key_error():
+    channels = push((), Msg(RXP, HOME, 0, 0))
+    with pytest.raises(KeyError):
+        pop(channels, (HOME, 1, "reply"))
 
 
 def test_violation_detected_in_corrupted_state():
