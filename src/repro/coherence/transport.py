@@ -17,10 +17,12 @@ It keeps no census of messages in flight: every message between
 event, and :meth:`Transport.introspect` reads the census from there.
 
 Hot-path layout: handlers live in node-indexed lists (``handlers[dst]``
-is a list index, not a dict hash), the mesh for a message is picked by
-``kind.net_idx`` from a two-slot tuple, and every deferred hop is
-scheduled as ``schedule_at(t, method, msg)`` so no closure is allocated
-per message.
+is a list index, not a dict hash), and the handler list and the mesh for
+a message are each picked from a tuple by kind.  The mesh delivers a
+directory-bound message straight to :meth:`_dispatch` (the directory
+sits at the network interface) and a cache-bound one to :meth:`_deliver`,
+the interface-to-cache bus hop.  Every deferred hop is scheduled as
+``schedule_at(t, method, msg)`` so no closure is allocated per message.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class Transport:
         #: Per-node delivery handlers, indexed by node id (None = absent).
         self._cache_handlers: List[Optional[Handler]] = [None] * fabric.num_nodes
         self._directory_handlers: List[Optional[Handler]] = [None] * fabric.num_nodes
+        #: The handler list each kind dispatches through, by ``MsgKind.index``.
+        self._handlers_by_kind = tuple(
+            self._directory_handlers if kind.to_directory else self._cache_handlers
+            for kind in KINDS_BY_INDEX
+        )
         # Traffic accounting (all injected messages, by kind).  Kept as
         # flat lists indexed by ``MsgKind.index`` so the send path does a
         # list store instead of hashing an enum member; the dict views the
@@ -138,35 +145,32 @@ class Transport:
             done = bus.transact(sim.now, bits if carries_data else 0)
             sim.schedule_at(done, self._inject, msg)
         else:
-            self._meshes[kind.net_idx].send(msg, self._deliver)
+            self._meshes[kind.net_idx].send(
+                msg, self._dispatch if kind.to_directory else self._deliver
+            )
 
     def _inject(self, msg: CoherenceMessage) -> None:
         """Hand ``msg`` to its mesh once the local bus hop completes."""
-        self._meshes[msg.kind.net_idx].send(msg, self._deliver)
+        kind = msg.kind
+        self._meshes[kind.net_idx].send(
+            msg, self._dispatch if kind.to_directory else self._deliver
+        )
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def _deliver(self, msg: CoherenceMessage) -> None:
-        """Mesh delivery at the destination's network interface."""
-        kind = msg.kind
-        if kind.to_directory:
-            self._dispatch(msg)
-        else:
-            # Network interface -> cache over the local bus.
-            sim = self.sim
-            bus = self.buses[msg.dst]
-            done = bus.transact(sim.now, msg.bits if kind.carries_data else 0)
-            sim.schedule_at(done, self._dispatch, msg)
+        """Mesh delivery of a cache-bound message: interface -> cache bus hop."""
+        sim = self.sim
+        bus = self.buses[msg.dst]
+        done = bus.transact(sim.now, msg.bits if msg.kind.carries_data else 0)
+        sim.schedule_at(done, self._dispatch, msg)
 
     def _dispatch(self, msg: CoherenceMessage) -> None:
         tracer = self.tracer
         if tracer is not None and msg.trace:
             tracer.on_dispatch(msg, self.sim.now)
-        handlers = (
-            self._directory_handlers if msg.kind.to_directory else self._cache_handlers
-        )
-        handler = handlers[msg.dst]
+        handler = self._handlers_by_kind[msg.kind.index][msg.dst]
         if handler is None:
             raise SimulationError(
                 f"no {'directory' if msg.dst_is_directory else 'cache'} handler "
@@ -217,8 +221,9 @@ class Transport:
 
         A message is in flight from :meth:`send` until its dispatch, and
         all that time it is an argument of a pending engine event
-        (``_dispatch``, ``_inject``, the ``_deliver`` the mesh schedules
-        for its arrival, or the fault plan's ``_flush``/``_send_now``).  Queued ``send`` calls (service
+        (``_dispatch``, ``_inject``, the ``_dispatch`` or ``_deliver`` the
+        mesh schedules for its arrival, or the fault plan's
+        ``_flush``/``_send_now``).  Queued ``send`` calls (service
         delays) have not been injected yet and are skipped; so is a
         ``_flush`` whose message the plan already released.  ``due_at``
         is when the message's next event fires.

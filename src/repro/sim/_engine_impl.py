@@ -21,13 +21,22 @@ Queue structure
 A clocked machine schedules most of its events a handful of distinct
 timestamps ahead (bus grants, memory completions, link arrivals), so many
 events share a timestamp.  The queue is therefore a *bucketed calendar*:
-one deque of events per pending timestamp (FIFO within the bucket
-preserves scheduling order exactly as the old ``(time, seq)`` heap
-tie-break did), plus a small heap of the distinct timestamps themselves.
+one plain ``list`` of events per pending timestamp (append order is the
+FIFO order at that timestamp, exactly the old ``(time, seq)`` heap's
+tie-break), plus a small heap of the distinct timestamps themselves.
 Scheduling into an existing bucket is a single ``append``; only the first
-event at a new timestamp pays a ``heappush``.  An event scheduled with
-zero delay while its own bucket is draining lands at the tail of the live
-bucket and fires in the same pass — identical to the old heap's behaviour.
+event at a new timestamp pays a ``heappush``.
+
+:meth:`Simulator.run` drains a bucket with a list iterator, which also
+yields events appended while it drains: an event scheduled with zero
+delay lands at the tail of the live bucket and fires in the same pass.
+The live iterator is kept on the engine (``_drain``), so the number of
+events of the live bucket that already fired is its length minus the
+iterator's length hint; :meth:`Simulator.pending` and
+:meth:`Simulator.pending_events` read it there, and the drain loop itself
+does no per-event bookkeeping.  When a callback raises, the fired prefix
+is cut off the bucket and the unfired remainder stays queued for a
+resumed ``run()``.
 
 Event representation
 --------------------
@@ -41,9 +50,12 @@ working unchanged (``args`` is just the empty tuple).
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import length_hint
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+#: A queued event: the callback and the arguments it is called with.
+Event = Tuple[Callable, tuple]
 
 
 class SimulationError(RuntimeError):
@@ -84,8 +96,7 @@ class Simulator:
         "now",
         "_buckets",
         "_times",
-        "_size",
-        "_running",
+        "_drain",
         "max_events",
         "events_processed",
         "last_progress",
@@ -103,12 +114,12 @@ class Simulator:
         #: descriptor call per read showed up in profiles.  Treat it as
         #: read-only outside the simulator.
         self.now: int = 0
-        #: Pending events, one FIFO deque of (callback, args) per timestamp.
-        self._buckets: Dict[int, deque] = {}
+        #: Pending events, one FIFO list of (callback, args) per timestamp.
+        self._buckets: Dict[int, List[Event]] = {}
         #: Heap of the distinct pending timestamps (each pushed once).
         self._times: List[int] = []
-        self._size: int = 0
-        self._running: bool = False
+        #: Iterator draining the bucket at ``now`` (None between buckets).
+        self._drain: Optional[Iterator[Event]] = None
         #: Safety valve against livelock (e.g. unbounded NAK retry storms).
         self.max_events = max_events
         self.events_processed: int = 0
@@ -130,10 +141,10 @@ class Simulator:
         time = self.now + delay
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = bucket = deque()
+            self._buckets[time] = [(callback, args)]
             heappush(self._times, time)
-        bucket.append((callback, args))
-        self._size += 1
+        else:
+            bucket.append((callback, args))
 
     def schedule_at(self, time: int, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute timestamp ``time >= now``."""
@@ -141,25 +152,40 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = bucket = deque()
+            self._buckets[time] = [(callback, args)]
             heappush(self._times, time)
-        bucket.append((callback, args))
-        self._size += 1
+        else:
+            bucket.append((callback, args))
+
+    def _fired(self) -> int:
+        """Events of the bucket being drained that already fired."""
+        drain = self._drain
+        if drain is None:
+            return 0
+        return len(self._buckets[self.now]) - length_hint(drain)
 
     def pending(self) -> int:
-        """Number of events still queued."""
-        return self._size
+        """Number of events still queued (the one firing now excluded)."""
+        count = 0
+        for bucket in self._buckets.values():
+            count += len(bucket)
+        return count - self._fired()
 
     def pending_events(self) -> List[Tuple[int, Callable, tuple]]:
         """Every queued event as ``(time, callback, args)``, in firing order.
 
         A cold-path view for diagnostics; the queue is left untouched.
+        Read from inside a callback, it lists only the events still to
+        fire, as :meth:`pending` counts them.
         """
         buckets = self._buckets
+        fired = self._fired()
         return [
             (time, callback, args)
             for time in sorted(buckets)
-            for callback, args in buckets[time]
+            for callback, args in (
+                buckets[time][fired:] if time == self.now else buckets[time]
+            )
         ]
 
     def run(self, until: Optional[int] = None) -> None:
@@ -170,48 +196,47 @@ class Simulator:
         same pass, after everything already queued at that timestamp —
         exactly the FIFO tie-break the old sequence-numbered heap gave.
         """
-        self._running = True
         buckets = self._buckets
         times = self._times
-        max_events = self.max_events
-        watchdog = self.watchdog_window
-        unlimited = max_events is None and watchdog is None
-        try:
-            while times:
-                time = times[0]
-                if until is not None and time > until:
-                    break
-                # The bucket stays registered while it drains, so zero-delay
-                # scheduling during the drain appends to it and fires in the
-                # same pass; a callback that raises leaves the remainder
-                # queued and the calendar consistent.
-                bucket = buckets[time]
-                self.now = time
+        unlimited = self.max_events is None and self.watchdog_window is None
+        while times:
+            time = times[0]
+            if until is not None and time > until:
+                break
+            # The bucket stays registered while it drains, so zero-delay
+            # scheduling during the drain appends to it and the iterator
+            # yields it in the same pass.
+            bucket = buckets[time]
+            self.now = time
+            self._drain = drain = iter(bucket)
+            try:
                 if unlimited:
                     # Hot path: no safety valves, count in bulk per bucket.
-                    popleft = bucket.popleft
-                    processed = 0
-                    try:
-                        while bucket:
-                            processed += 1
-                            callback, args = popleft()
-                            callback(*args)
-                    finally:
-                        self._size -= processed
-                        self.events_processed += processed
+                    for callback, args in drain:
+                        callback(*args)
                 else:
-                    popleft = bucket.popleft
-                    while bucket:
-                        callback, args = popleft()
-                        self._size -= 1
+                    for callback, args in drain:
                         self._count_event()
                         callback(*args)
-                heappop(times)
-                del buckets[time]
-            if until is not None and self.now < until and not times:
-                self.now = until
-        finally:
-            self._running = False
+            except BaseException:
+                # Cut what fired off the bucket: only the unfired
+                # remainder stays queued, in order, for a resumed run().
+                fired = len(bucket) - length_hint(drain)
+                self._drain = None
+                if unlimited:
+                    self.events_processed += fired
+                del bucket[:fired]
+                if not bucket:
+                    heappop(times)
+                    del buckets[time]
+                raise
+            self._drain = None
+            if unlimited:
+                self.events_processed += len(bucket)
+            heappop(times)
+            del buckets[time]
+        if until is not None and self.now < until and not times:
+            self.now = until
 
     def step(self) -> bool:
         """Process a single event.  Returns False if the queue was empty.
@@ -219,24 +244,19 @@ class Simulator:
         Step-driven loops get the same ``max_events`` livelock guard as
         :meth:`run`.
         """
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets[time]
-            if not bucket:
-                # An interrupted run() can leave a drained bucket registered.
-                heappop(self._times)
-                del self._buckets[time]
-                continue
-            callback, args = bucket.popleft()
-            self._size -= 1
-            if not bucket:
-                heappop(self._times)
-                del self._buckets[time]
-            self.now = time
-            self._count_event()
-            callback(*args)
-            return True
-        return False
+        times = self._times
+        if not times:
+            return False
+        time = times[0]
+        bucket = self._buckets[time]
+        callback, args = bucket.pop(0)
+        if not bucket:
+            heappop(times)
+            del self._buckets[time]
+        self.now = time
+        self._count_event()
+        callback(*args)
+        return True
 
     def note_progress(self) -> None:
         """Record forward progress (a processor retired an operation)."""

@@ -191,3 +191,91 @@ def test_pending_tracks_bucket_sizes():
     assert sim.pending() == 2
     sim.run()
     assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("max_events", [None, 1000], ids=["unlimited", "valve"])
+def test_pending_inside_callbacks_counts_only_unfired_events(max_events):
+    # Read from inside a callback, pending() excludes every event that
+    # already fired (the running one included) on both drain paths, and
+    # agrees with pending_events().
+    sim = Simulator(max_events=max_events)
+    seen = []
+
+    def probe(label):
+        seen.append(
+            (label, sim.pending(), [args for _, _, args in sim.pending_events()])
+        )
+
+    def first():
+        probe("a")
+        sim.schedule(0, probe, "zero-delay")
+
+    sim.schedule(3, first)
+    sim.schedule(3, probe, "b")
+    sim.schedule(3, probe, "c")
+    sim.schedule(8, probe, "later")
+    sim.run()
+    assert seen == [
+        ("a", 3, [("b",), ("c",), ("later",)]),
+        ("b", 3, [("c",), ("zero-delay",), ("later",)]),
+        ("c", 2, [("zero-delay",), ("later",)]),
+        ("zero-delay", 1, [("later",)]),
+        ("later", 0, []),
+    ]
+    assert sim.pending() == 0
+    assert sim.pending_events() == []
+
+
+def test_raise_mid_bucket_keeps_unfired_remainder_queued():
+    # On the unlimited fast path a callback that raises mid-bucket leaves
+    # the unfired remainder queued in order with exact counts, and a
+    # resumed run() fires it FIFO before later timestamps.
+    sim = Simulator()
+    order = []
+
+    def boom():
+        order.append("boom")
+        raise RuntimeError("boom")
+
+    def first():
+        order.append("a")
+        sim.schedule(0, order.append, "zero-delay")
+
+    sim.schedule(2, first)
+    sim.schedule(2, order.append, "b")
+    sim.schedule(2, boom)
+    sim.schedule(2, order.append, "c")
+    sim.schedule(2, order.append, "d")
+    sim.schedule(5, order.append, "later")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert order == ["a", "b", "boom"]
+    assert sim.now == 2
+    assert sim.events_processed == 3
+    assert sim.pending() == 4
+    assert [(time, args) for time, _, args in sim.pending_events()] == [
+        (2, ("c",)), (2, ("d",)), (2, ("zero-delay",)), (5, ("later",)),
+    ]
+    sim.run()
+    assert order == ["a", "b", "boom", "c", "d", "zero-delay", "later"]
+    assert sim.events_processed == 7
+    assert sim.pending() == 0
+
+
+def test_raise_on_last_event_of_bucket_leaves_no_empty_bucket():
+    sim = Simulator()
+    order = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1, order.append, "a")
+    sim.schedule(1, boom)
+    sim.schedule(4, order.append, "later")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.events_processed == 2
+    assert sim.pending() == 1
+    assert sim.step()
+    assert order == ["a", "later"]
+    assert not sim.step()

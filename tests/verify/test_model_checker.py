@@ -65,8 +65,14 @@ def test_ad_three_ops_reaches_migratory_uncached():
     assert any(shape[0] == MU for shape in result.state_shapes)
 
 
-def test_ad_three_caches_exploration_clean():
-    result = explore(ProtocolModel(3, 2, ProtocolPolicy.adaptive_default()))
+@pytest.fixture(scope="module")
+def ad_three_by_two():
+    """AD at 3 caches x 2 ops, explored once for every test that reads it."""
+    return explore(ProtocolModel(3, 2, ProtocolPolicy.adaptive_default()))
+
+
+def test_ad_three_caches_exploration_clean(ad_three_by_two):
+    result = ad_three_by_two
     assert result.states_explored > 50_000
     assert result.final_states > 0
 
@@ -218,7 +224,7 @@ def test_stale_owner_version_detected():
         _check_state(bad)
 
 
-def test_timed_simulation_shapes_subset_of_model():
+def test_timed_simulation_shapes_subset_of_model(ad_three_by_two):
     """Cross-validation: every (directory state, line states) combination
     the timed machine visits must be reachable in the abstract model.
 
@@ -233,9 +239,7 @@ def test_timed_simulation_shapes_subset_of_model():
     # The protocol shape set saturates at the 2-op bound (verified: the
     # 3-op exploration reaches the same 16 shapes), so the cheap bound
     # suffices as the reference.
-    model_shapes = explore(
-        ProtocolModel(3, 2, ProtocolPolicy.adaptive_default())
-    ).state_shapes
+    model_shapes = ad_three_by_two.state_shapes
 
     for seed in range(8):
         rng = random.Random(seed)
