@@ -253,30 +253,3 @@ class CoherenceMessage:
             f"<{self.kind.value} blk={self.block} {self.src}->{self.dst}"
             f" req={self.requester} v={self.version}>"
         )
-
-
-def make_message(
-    src: int,
-    dst: int,
-    kind: MsgKind,
-    block: int,
-    requester: int = 0,
-    version: int = 0,
-    n_invals: int = 0,
-    for_write: bool = False,
-    miack_needed: bool = True,
-    src_is_cache: bool = True,
-    trace: int = 0,
-) -> CoherenceMessage:
-    """A :class:`CoherenceMessage`, built from keyword arguments cheaply.
-
-    The protocol controllers build every message through this function
-    with keyword arguments.  Calling a *class* with keywords makes
-    ``type.__call__`` pack them into a dict for ``__init__`` (about
-    300 ns per message on CPython 3.11); a plain function receives them
-    without one and calls the class positionally.
-    """
-    return CoherenceMessage(
-        src, dst, kind, block, requester, version, n_invals,
-        for_write, miack_needed, src_is_cache, trace,
-    )

@@ -33,12 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.coherence.checker import CoherenceChecker
-from repro.coherence.messages import (
-    NUM_KINDS,
-    CoherenceMessage,
-    MsgKind,
-    make_message,
-)
+from repro.coherence.messages import NUM_KINDS, CoherenceMessage, MsgKind
 from repro.coherence.transport import Transport
 from repro.core.policy import ProtocolPolicy
 from repro.protocols import behavior_for
@@ -281,7 +276,7 @@ class CacheController:
                 self.node, block, home, "prefetch", self.sim.now
             )
         self.transport.send(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=home, kind=MsgKind.RXQ,
                 block=block, requester=self.node, src_is_cache=True,
                 trace=mshr.trace,
@@ -308,7 +303,7 @@ class CacheController:
             op = "upgrade" if is_upgrade else ("write" if is_write else "read")
             mshr.trace = self.tracer.open(self.node, block, home, op, self.sim.now)
         self.transport.send(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=home, kind=kind,
                 block=block, requester=self.node, src_is_cache=True,
                 trace=mshr.trace,
@@ -343,7 +338,7 @@ class CacheController:
             version = cache.versions[index]
             self.checker.release_writable(self.node, victim_block)
             self.transport.send(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=self.home_of(victim_block), kind=MsgKind.WB,
                     block=victim_block, requester=self.node,
                     version=version, src_is_cache=True,
@@ -437,7 +432,7 @@ class CacheController:
             mshr.update_version = msg.version
         self._c_uacks_sent.inc()
         self.transport.send(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.requester, kind=MsgKind.UACK,
                 block=block, requester=msg.requester, src_is_cache=True,
                 trace=msg.trace,
@@ -591,7 +586,7 @@ class CacheController:
         # deferring an Iack behind our own miss could deadlock).
         self._c_iacks_sent.inc()
         self.transport.send(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.requester, kind=MsgKind.IACK,
                 block=block, requester=msg.requester, src_is_cache=True,
                 trace=msg.trace,
@@ -646,7 +641,7 @@ class CacheController:
         version = cache.versions[index]
         if exclusive:
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=msg.requester, kind=MsgKind.RXP,
                     block=block, requester=msg.requester,
                     version=version, n_invals=0, src_is_cache=True,
@@ -654,7 +649,7 @@ class CacheController:
                 )
             )
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=self.home_of(block), kind=MsgKind.XFER,
                     block=block, requester=msg.requester, src_is_cache=True,
                     trace=msg.trace,
@@ -668,7 +663,7 @@ class CacheController:
             self._lost_to_inv.add(block)
         else:
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=msg.requester, kind=MsgKind.RP,
                     block=block, requester=msg.requester,
                     version=version, src_is_cache=True,
@@ -676,7 +671,7 @@ class CacheController:
                 )
             )
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=self.home_of(block), kind=MsgKind.SW,
                     block=block, requester=msg.requester,
                     version=version, src_is_cache=True,
@@ -723,7 +718,7 @@ class CacheController:
                 )
             version = cache.versions[index]
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=msg.requester, kind=MsgKind.RP,
                     block=block, requester=msg.requester,
                     version=version, src_is_cache=True,
@@ -731,7 +726,7 @@ class CacheController:
                 )
             )
             self._send_after_service(
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=self.home_of(block), kind=MsgKind.NOMIG,
                     block=block, requester=msg.requester,
                     version=version, src_is_cache=True,
@@ -752,7 +747,7 @@ class CacheController:
             )
         version = cache.versions[index]
         self._send_after_service(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.requester, kind=MsgKind.MACK,
                 block=block, requester=msg.requester,
                 version=version, miack_needed=True, src_is_cache=True,
@@ -760,7 +755,7 @@ class CacheController:
             )
         )
         self._send_after_service(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=self.home_of(block), kind=MsgKind.DT,
                 block=block, requester=msg.requester, src_is_cache=True,
                 trace=msg.trace,
@@ -788,7 +783,7 @@ class CacheController:
         self.wb_buffer[block] = self.wb_buffer.get(block, 0) + 1
         self.checker.release_writable(self.node, block)
         self.transport.send(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=self.home_of(block), kind=MsgKind.WB,
                 block=block, requester=self.node,
                 version=line.version, src_is_cache=True,
@@ -804,7 +799,7 @@ class CacheController:
                 "hold nor are writing back"
             )
         self._send_after_service(
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=self.home_of(msg.block), kind=MsgKind.NAK,
                 block=msg.block, requester=msg.requester, src_is_cache=True,
                 trace=msg.trace,

@@ -47,12 +47,7 @@ from array import array
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.coherence.messages import (
-    NUM_KINDS,
-    CoherenceMessage,
-    MsgKind,
-    make_message,
-)
+from repro.coherence.messages import NUM_KINDS, CoherenceMessage, MsgKind
 from repro.coherence.states import (
     DIR_DR,
     DIR_MD,
@@ -390,11 +385,7 @@ class DirectoryController:
         handler = self._dispatch[msg.kind.index]
         if handler is None:
             raise SimulationError(f"directory {self.node} got unexpected {msg!r}")
-        # _row's hit path, inlined: all but a block's first message find it.
-        row = self._index.get(msg.block)
-        if row is None:
-            row = self._row(msg.block)
-        handler(row, msg)
+        handler(self._row(msg.block), msg)
 
     def _on_rr(self, row: int, msg: CoherenceMessage) -> None:
         self._c_rr_received.inc()
@@ -455,7 +446,7 @@ class DirectoryController:
                 self._lw[row] = i
                 self._send_at(
                     done,
-                    make_message(
+                    CoherenceMessage(
                         src=self.node, dst=i, kind=MsgKind.MACK,
                         block=block, requester=i, version=self._versions[row],
                         miack_needed=False, src_is_cache=False, trace=msg.trace,
@@ -470,7 +461,7 @@ class DirectoryController:
                 self._lw[row] = -1  # LW valid bit reset (paper Figure 4)
             self._send_at(
                 done,
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=i, kind=MsgKind.RP,
                     block=block, requester=i, version=self._versions[row],
                     src_is_cache=False, trace=msg.trace,
@@ -487,7 +478,7 @@ class DirectoryController:
             self._sharers[row] = set()
             self._send_at(
                 done,
-                make_message(
+                CoherenceMessage(
                     src=self.node, dst=i, kind=MsgKind.MACK,
                     block=block, requester=i, version=self._versions[row],
                     miack_needed=False, src_is_cache=False, trace=msg.trace,
@@ -543,7 +534,7 @@ class DirectoryController:
                 self._c_invalidations_sent.inc()
                 self._send_at(
                     done,
-                    make_message(
+                    CoherenceMessage(
                         src=self.node, dst=sharer, kind=MsgKind.INV,
                         block=block, requester=i, src_is_cache=False,
                         trace=msg.trace,
@@ -618,7 +609,7 @@ class DirectoryController:
                     self._record_inval_count(0, block, i)
                     self._send_at(
                         done,
-                        make_message(
+                        CoherenceMessage(
                             src=self.node, dst=i, kind=MsgKind.WUP,
                             block=block, requester=i, version=version,
                             n_invals=len(others), src_is_cache=False,
@@ -629,7 +620,7 @@ class DirectoryController:
                         self._c_updates_sent.inc()
                         self._send_at(
                             done,
-                            make_message(
+                            CoherenceMessage(
                                 src=self.node, dst=sharer, kind=MsgKind.UPD,
                                 block=block, requester=i, version=version,
                                 src_is_cache=False, trace=msg.trace,
@@ -671,7 +662,7 @@ class DirectoryController:
         self._lw[row] = msg.requester
         self._send_at(
             done,
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.requester, kind=MsgKind.MIACK,
                 block=msg.block, requester=msg.requester, src_is_cache=False,
                 trace=msg.trace,
@@ -694,7 +685,7 @@ class DirectoryController:
         # replacement lock (Figure 3's MIack).
         self._send_at(
             done,
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.requester, kind=MsgKind.MIACK,
                 block=msg.block, requester=msg.requester, src_is_cache=False,
                 trace=msg.trace,
@@ -754,7 +745,7 @@ class DirectoryController:
         self._versions[row] = msg.version
         self._send_at(
             done,
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=msg.src, kind=MsgKind.WACK,
                 block=msg.block, requester=msg.src, src_is_cache=False,
             ),
@@ -781,7 +772,7 @@ class DirectoryController:
         done = self.memory.directory_access(self.sim.now)
         self._send_at(
             done,
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=self._owners[row], kind=kind,
                 block=msg.block, requester=msg.requester,
                 for_write=for_write, src_is_cache=False,
@@ -848,7 +839,7 @@ class DirectoryController:
         # transfers (FwdRxq / Mr) require the MIack round.
         self._send_at(
             at,
-            make_message(
+            CoherenceMessage(
                 src=self.node, dst=dst, kind=MsgKind.RXP,
                 block=block, requester=dst, version=version,
                 n_invals=n_invals, miack_needed=False, src_is_cache=False,

@@ -26,7 +26,6 @@ NUM_KINDS = _impl.NUM_KINDS
 KINDS_BY_INDEX = _impl.KINDS_BY_INDEX
 message_bits = _impl.message_bits
 CoherenceMessage = _impl.CoherenceMessage
-make_message = _impl.make_message
 
 __all__ = [
     "CoherenceMessage",
@@ -41,6 +40,5 @@ __all__ = [
     "REPLY_NET_KINDS",
     "REQUEST_NET",
     "REQUEST_NET_IDX",
-    "make_message",
     "message_bits",
 ]

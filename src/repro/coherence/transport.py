@@ -17,8 +17,8 @@ It keeps no census of messages in flight: every message between
 event, and :meth:`Transport.introspect` reads the census from there.
 
 Hot-path layout: handlers live in node-indexed lists (``handlers[dst]``
-is a list index, not a dict hash), and the handler list and the mesh for
-a message are each picked from a tuple by kind.  The mesh delivers a
+is a list index, not a dict hash), the mesh for a message is picked by
+``kind.net_idx`` from a two-slot tuple, and the mesh delivers a
 directory-bound message straight to :meth:`_dispatch` (the directory
 sits at the network interface) and a cache-bound one to :meth:`_deliver`,
 the interface-to-cache bus hop.  Every deferred hop is scheduled as
@@ -71,11 +71,6 @@ class Transport:
         #: Per-node delivery handlers, indexed by node id (None = absent).
         self._cache_handlers: List[Optional[Handler]] = [None] * fabric.num_nodes
         self._directory_handlers: List[Optional[Handler]] = [None] * fabric.num_nodes
-        #: The handler list each kind dispatches through, by ``MsgKind.index``.
-        self._handlers_by_kind = tuple(
-            self._directory_handlers if kind.to_directory else self._cache_handlers
-            for kind in KINDS_BY_INDEX
-        )
         # Traffic accounting (all injected messages, by kind).  Kept as
         # flat lists indexed by ``MsgKind.index`` so the send path does a
         # list store instead of hashing an enum member; the dict views the
@@ -170,7 +165,10 @@ class Transport:
         tracer = self.tracer
         if tracer is not None and msg.trace:
             tracer.on_dispatch(msg, self.sim.now)
-        handler = self._handlers_by_kind[msg.kind.index][msg.dst]
+        handlers = (
+            self._directory_handlers if msg.kind.to_directory else self._cache_handlers
+        )
+        handler = handlers[msg.dst]
         if handler is None:
             raise SimulationError(
                 f"no {'directory' if msg.dst_is_directory else 'cache'} handler "

@@ -65,11 +65,6 @@ class Processor:
         #: program executes a StatsMark (end-of-warmup) operation.
         self.on_mark: Optional[Callable[[int, Callable[[], None]], None]] = None
         self._program: Optional[Iterator[Op]] = None
-        #: Issue time of the blocking reference in flight.  A processor
-        #: has at most one (reads always block; writes block under
-        #: sequential consistency), so its completion callback is a bound
-        #: method reading this slot instead of a closure per reference.
-        self._t0 = 0
         self._outstanding = 0
         self._fence_waiter: Optional[Callable[[], None]] = None
 
@@ -148,27 +143,26 @@ class Processor:
     # ------------------------------------------------------------------
     def _do_read(self, addr: int) -> None:
         self.references += 1
-        self._t0 = self.sim.now
-        self.cache.read(addr, self._read_done)
+        t0 = self.sim.now
 
-    def _read_done(self) -> None:
-        sim = self.sim
-        self.breakdown.read_stall += sim.now - self._t0
-        self.breakdown.busy += 1
-        sim.schedule(1, self._advance)
+        def done() -> None:
+            self.breakdown.read_stall += self.sim.now - t0
+            self.breakdown.busy += 1
+            self.sim.schedule(1, self._advance)
 
-    def _write_done(self) -> None:
-        sim = self.sim
-        self.breakdown.write_stall += sim.now - self._t0
-        self.breakdown.busy += 1
-        sim.schedule(1, self._advance)
+        self.cache.read(addr, done)
 
     def _do_write(self, addr: int) -> None:
         self.references += 1
+        t0 = self.sim.now
 
         if self.model.write_blocks:
-            self._t0 = self.sim.now
-            self.cache.write(addr, self._write_done)
+            def done() -> None:
+                self.breakdown.write_stall += self.sim.now - t0
+                self.breakdown.busy += 1
+                self.sim.schedule(1, self._advance)
+
+            self.cache.write(addr, done)
             return
 
         # Weak ordering: issue and continue; the lockup-free cache tracks

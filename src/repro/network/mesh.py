@@ -20,7 +20,7 @@ the coherence protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.network.message import NetworkMessage
 from repro.sim.engine import Simulator
@@ -81,12 +81,9 @@ class Mesh:
         # and reused for every message on the hot send path.
         self._route_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         # The send path walks Resource objects directly: per (src, dst)
-        # the hop sequence is resolved once, on first use, into a tuple of
-        # link Resources stored at ``src * num_nodes + dst``, so each
-        # message pays one list index + reserve, never a dict lookup.
-        self._chains: List[Optional[Tuple[Resource, ...]]] = [None] * (
-            self.num_nodes * self.num_nodes
-        )
+        # the hop sequence is resolved once into a tuple of link Resources
+        # so each message pays list-walk + reserve, never dict lookups.
+        self._chain_cache: Dict[Tuple[int, int], Tuple[Resource, ...]] = {}
         #: Directed links keyed by (from_node, to_node).
         self.links: Dict[Tuple[int, int], Resource] = {}
         for node in range(self.num_nodes):
@@ -150,9 +147,12 @@ class Mesh:
         return path
 
     def _chain(self, src: int, dst: int) -> Tuple[Resource, ...]:
-        """The route's link Resources, resolved once per (src, dst)."""
-        chain = tuple(self.links[link] for link in self.route(src, dst))
-        self._chains[src * self.num_nodes + dst] = chain
+        """The route's link Resources, precomputed per (src, dst)."""
+        key = (src, dst)
+        chain = self._chain_cache.get(key)
+        if chain is None:
+            chain = tuple(self.links[link] for link in self.route(src, dst))
+            self._chain_cache[key] = chain
         return chain
 
     def hop_count(self, src: int, dst: int) -> int:
@@ -193,9 +193,7 @@ class Mesh:
         ejection); between them the head flit advances one fall-through
         per hop after acquiring the link, and the tail arrives ``flits``
         pclocks after the head enters the final link.  A message to self
-        pays both interface crossings but no mesh traversal.  ``src`` and
-        ``dst`` must be node ids of this mesh, as the transport's always
-        are: the route table is indexed by ``src * num_nodes + dst``.
+        pays both interface crossings but no mesh traversal.
         """
         sim = self.sim
         now = sim.now
@@ -204,17 +202,15 @@ class Mesh:
         self.messages_sent += 1
         self.bits_sent += bits
 
-        src = message.src
-        dst = message.dst
-        if src == dst:
+        if message.src == message.dst:
             arrival = now + 2 * self.interface_delay
         else:
             interface_delay = self.interface_delay
             fall_through = self.fall_through
             head = now + interface_delay
-            chain = self._chains[src * self.num_nodes + dst]
+            chain = self._chain_cache.get((message.src, message.dst))
             if chain is None:
-                chain = self._chain(src, dst)
+                chain = self._chain(message.src, message.dst)
             if self._infinite:
                 for link in chain:
                     link.reservations += 1
